@@ -6,6 +6,24 @@ vertices meet inside a tree, augment when two trees meet. Blossoms are
 tracked through a ``base`` array mapping every vertex to the base of its
 (possibly nested) contracted cycle.
 
+Each step costs only as much as the structure it touches:
+
+* a search from one free root costs its alternating tree. The search
+  arrays are allocated once and only the tree's vertices are reset after
+  each search; a free root without neighbours is skipped;
+* a contraction costs the blossom: every non-trivial base keeps the list
+  of its members, and only the members of the bases on the cycle are
+  relabeled;
+* finding the cycle's base (the lowest common ancestor) costs the cycle:
+  the walks from both endpoints step up in turn and stop at the first
+  base both have seen, instead of one walk to the tree's root.
+
+The visit order is that of the textbook version which rescans all n
+vertices per contraction: the vertices a contraction turns even are
+enqueued in ascending id order, as that scan would find them, and the
+lowest common ancestor is unique however it is found. So the witness is
+reproducible byte for byte.
+
 The certificate is extracted after the matching is maximum, from one final
 multi-root search that cannot augment. At that point the vertices split
 into three classes:
@@ -52,8 +70,8 @@ def maximum_matching_with_cover(g: Graph) -> tuple[tuple[int, ...], tuple[int, .
     adj = [sorted(set(ns)) for ns in adj]
 
     match = _maximum_matching(n, adj)
-    status, base = _final_forest(n, adj, match)
-    labels = _cover_labels(n, adj, match, status, base)
+    status, blossoms = _final_forest(n, adj, match)
+    labels = _cover_labels(n, adj, status, blossoms)
     edge_ids = _matched_edge_ids(g, match)
     return edge_ids, labels
 
@@ -68,12 +86,15 @@ def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
                     match[v] = u
                     match[u] = v
                     break
+    # One set of search arrays for all roots; each search resets what it touched.
+    used = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
     for root in range(n):
-        if match[root] != -1:
+        if match[root] != -1 or not adj[root]:
             continue
-        end, parent = _find_augmenting_path(n, adj, match, root)
-        if end == -1:
-            continue
+        tree = [root]
+        end = _find_augmenting_path(adj, match, used, parent, base, tree, root)
         # Flip matched/unmatched edges along the found path back to the root.
         v = end
         while v != -1:
@@ -82,22 +103,32 @@ def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
             match[v] = pv
             match[pv] = v
             v = next_v
+        for v in tree:
+            used[v] = False
+            parent[v] = -1
+            base[v] = v
     return match
 
 
 def _find_augmenting_path(
-    n: int, adj: list[list[int]], match: list[int], root: int
-) -> tuple[int, list[int]]:
+    adj: list[list[int]],
+    match: list[int],
+    used: list[bool],
+    parent: list[int],
+    base: list[int],
+    tree: list[int],
+    root: int,
+) -> int:
     """Search for a free vertex reachable from ``root`` along an alternating path.
 
-    Returns (endpoint, parent) on success, (-1, parent) if the tree is
-    exhausted. ``parent[v]`` is the even vertex from which odd v was
-    reached; blossom contraction also threads parent pointers around each
-    cycle so augmentation can walk through it.
+    Returns that endpoint, or -1 if the tree is exhausted. ``parent[v]`` is
+    the even vertex from which odd v was reached; blossom contraction also
+    threads parent pointers around each cycle so augmentation can walk
+    through it. ``used``, ``parent`` and ``base`` start out clean, and
+    ``tree`` starts as ``[root]``; the search appends every vertex it adds
+    to the tree, and writes to no other entries of the three arrays.
     """
-    used = [False] * n
-    parent = [-1] * n
-    base = list(range(n))
+    blossoms: dict[int, list[int]] = {}
     used[root] = True
     queue = deque([root])
     while queue:
@@ -107,46 +138,77 @@ def _find_augmenting_path(
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
                 # ``to`` is even: the edge closes an odd cycle; contract it.
-                cur_base = _lca(match, base, parent, v, to)
-                blossom = [False] * n
-                _mark_path(match, base, blossom, parent, v, cur_base, to)
-                _mark_path(match, base, blossom, parent, to, cur_base, v)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = cur_base
-                        if not used[i]:
-                            used[i] = True
-                            queue.append(i)
+                moved = _contract(match, base, parent, blossoms, v, to)
+                fresh = sorted(i for i in moved if not used[i])
+                for i in fresh:
+                    used[i] = True
+                queue.extend(fresh)
             elif parent[to] == -1:
                 parent[to] = v
+                tree.append(to)
                 if match[to] == -1:
-                    return to, parent
+                    return to
                 used[match[to]] = True
+                tree.append(match[to])
                 queue.append(match[to])
-    return -1, parent
+    return -1
+
+
+def _contract(
+    match: list[int],
+    base: list[int],
+    parent: list[int],
+    blossoms: dict[int, list[int]],
+    v: int,
+    to: int,
+) -> list[int]:
+    """Contract the odd cycle closed by the even-even edge (v, to).
+
+    ``blossoms`` maps each non-trivial base to the vertices it stands for;
+    a base without an entry stands for itself alone. Returns the vertices
+    whose base changed, in no particular order.
+    """
+    cur_base = _lca(match, base, parent, v, to)
+    marked: set[int] = set()
+    _mark_path(match, base, marked, parent, v, cur_base, to)
+    _mark_path(match, base, marked, parent, to, cur_base, v)
+    marked.discard(cur_base)  # its members keep their base, and are even already
+    moved: list[int] = []
+    for b in marked:
+        moved.extend(blossoms.pop(b, (b,)))
+    for i in moved:
+        base[i] = cur_base
+    blossoms.setdefault(cur_base, [cur_base]).extend(moved)
+    return moved
 
 
 def _lca(
     match: list[int], base: list[int], parent: list[int], a: int, b: int
 ) -> int:
-    """Base of the lowest common tree ancestor of (the blossoms of) a and b."""
-    seen = [False] * len(match)
-    x = base[a]
+    """Base of the lowest common tree ancestor of (the blossoms of) a and b.
+
+    Both walks step up in turn; the first base both have seen is the
+    answer, since every common ancestor above it is reached later by both.
+    """
+    x, y = base[a], base[b]
+    seen_x, seen_y = {x}, {y}
     while True:
-        seen[x] = True
-        if match[x] == -1:
-            break
-        x = base[parent[match[x]]]
-    y = base[b]
-    while not seen[y]:
-        y = base[parent[match[y]]]
-    return y
+        if x in seen_y:
+            return x
+        if y in seen_x:
+            return y
+        if match[x] != -1:
+            x = base[parent[match[x]]]
+            seen_x.add(x)
+        if match[y] != -1:
+            y = base[parent[match[y]]]
+            seen_y.add(y)
 
 
 def _mark_path(
     match: list[int],
     base: list[int],
-    blossom: list[bool],
+    blossom: set[int],
     parent: list[int],
     v: int,
     b: int,
@@ -154,8 +216,8 @@ def _mark_path(
 ) -> None:
     """Mark blossom bases from v up to b, threading parent pointers around."""
     while base[v] != b:
-        blossom[base[v]] = True
-        blossom[base[match[v]]] = True
+        blossom.add(base[v])
+        blossom.add(base[match[v]])
         parent[v] = child
         child = match[v]
         v = parent[match[v]]
@@ -163,16 +225,18 @@ def _mark_path(
 
 def _final_forest(
     n: int, adj: list[list[int]], match: list[int]
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], dict[int, list[int]]]:
     """Grow the alternating forest of a maximum matching from all free vertices.
 
     No augmenting path exists, so every even-even edge closes a blossom
-    within one tree; a cross-tree one would contradict maximality.
+    within one tree; a cross-tree one would contradict maximality. Returns
+    the vertex classes and the members of each non-trivial blossom, by base.
     """
     status = [_UNREACHED] * n
     parent = [-1] * n
     base = list(range(n))
     root_of = [-1] * n
+    blossoms: dict[int, list[int]] = {}
     queue = deque()
     for v in range(n):
         if match[v] == -1:
@@ -187,16 +251,11 @@ def _final_forest(
             if status[to] == _EVEN:
                 if root_of[to] != root_of[v]:
                     raise RuntimeError("augmenting path found after maximality")
-                cur_base = _lca(match, base, parent, v, to)
-                blossom = [False] * n
-                _mark_path(match, base, blossom, parent, v, cur_base, to)
-                _mark_path(match, base, blossom, parent, to, cur_base, v)
-                for i in range(n):
-                    if blossom[base[i]]:
-                        base[i] = cur_base
-                        if status[i] != _EVEN:
-                            status[i] = _EVEN
-                            queue.append(i)
+                moved = _contract(match, base, parent, blossoms, v, to)
+                fresh = sorted(i for i in moved if status[i] != _EVEN)
+                for i in fresh:
+                    status[i] = _EVEN
+                queue.extend(fresh)
             elif status[to] == _UNREACHED:
                 parent[to] = v
                 status[to] = _ODD
@@ -205,15 +264,14 @@ def _final_forest(
                 status[mate] = _EVEN
                 root_of[mate] = root_of[v]
                 queue.append(mate)
-    return status, base
+    return status, blossoms
 
 
 def _cover_labels(
     n: int,
     adj: list[list[int]],
-    match: list[int],
     status: list[int],
-    base: list[int],
+    blossoms: dict[int, list[int]],
 ) -> tuple[int, ...]:
     labels = [0] * n
     for v in range(n):
@@ -222,16 +280,10 @@ def _cover_labels(
     next_label = 2
 
     # Each blossom's vertices share one fresh label; singleton evens stay 0.
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        if status[v] == _EVEN:
-            groups.setdefault(base[v], []).append(v)
-    for b in sorted(groups):
-        members = groups[b]
-        if len(members) > 1:
-            for v in members:
-                labels[v] = next_label
-            next_label += 1
+    for b in sorted(blossoms):
+        for v in blossoms[b]:
+            labels[v] = next_label
+        next_label += 1
 
     # Unreached components are perfectly matched inside themselves.
     seen = [False] * n

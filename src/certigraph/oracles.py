@@ -193,17 +193,27 @@ def find_matching_witness_exhaustive(g: Graph, max_verts: int = 7) -> MatchingWi
 
 
 def label_count(labels: Sequence[int], c: int, i: int) -> int:
-    """How many of the first ``i`` labels equal ``c`` (recursive definition)."""
-    if i <= 0:
-        return 0
-    return label_count(labels, c, i - 1) + (1 if labels[i - 1] == c else 0)
+    """How many of the first ``i`` labels equal ``c``.
+
+    Unrolls the recursive definition count(0) = 0 and
+    count(j) = count(j - 1) + [labels[j - 1] == c], from j = 1 up to i.
+    """
+    count = 0
+    for j in range(1, i + 1):
+        count += 1 if labels[j - 1] == c else 0
+    return count
 
 
 def rec_weight(labels: Sequence[int], n: int, i: int) -> int:
-    """Sum of floor(n_c / 2) for labels 2 .. i over the first n labels."""
-    if i < 2:
-        return 0
-    return rec_weight(labels, n, i - 1) + label_count(labels, i, n) // 2
+    """Sum of floor(n_c / 2) for labels 2 .. i over the first n labels.
+
+    Unrolls weight(i) = 0 for i < 2 and
+    weight(j) = weight(j - 1) + floor(count(j, n) / 2), from j = 2 up to i.
+    """
+    weight = 0
+    for j in range(2, i + 1):
+        weight += label_count(labels, j, n) // 2
+    return weight
 
 
 def full_weight(labels: Sequence[int], n: int, i: int) -> int:

@@ -1,0 +1,24 @@
+"""The benchmark harness still runs end to end (verdicts and schema, never timings)."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = ("setup_s", "certify_s", "verify_s", "op_p50_s", "op_tail_s", "peak_rss_mb")
+
+
+def test_matching_families_tiny_run():
+    argv = [
+        sys.executable, "bench/run.py", "--workload", "matching-families",
+        "--seed", "1", "--seconds", "0.1", "--size", "tiny", "--trace", "0",
+    ]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert set(END_TO_END) <= set(result["metrics"])

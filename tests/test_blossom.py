@@ -1,0 +1,115 @@
+"""Golden witnesses and large instances for the blossom solver.
+
+The solver's witness is reproducible byte for byte: the same graph always
+yields the same matching edge ids and the same cover labels. The digests
+below pin the serialized witness of seeded instances from four families,
+so any change to the search order of the solver shows up here. The large
+instances check that the witness is accepted and that the matching size
+is the one fixed by how the graph is built.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from certigraph import Graph, MatchingTriple, check_max_matching, solve_max_matching
+from certigraph.formats import serialize_matching_witness
+
+
+def _relabel(rng: random.Random, n: int, pairs) -> Graph:
+    """Rename vertices at random, orient each edge at random, shuffle the edges."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [
+        (perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+        for u, v in pairs
+    ]
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
+def edgeless(n: int) -> tuple[Graph, int]:
+    return Graph(n, []), 0
+
+
+def star(seed: int, n: int) -> tuple[Graph, int]:
+    rng = random.Random(seed)
+    return _relabel(rng, n, [(0, v) for v in range(1, n)]), 1
+
+
+def odd_cycle_chain(seed: int, k: int) -> tuple[Graph, int]:
+    """k pentagons, consecutive ones joined through a hub vertex.
+
+    Each hub has two edges into each of its two pentagons. Removing the
+    k - 1 hubs leaves k odd components, so by Tutte-Berge a maximum
+    matching leaves at least one of the 6k - 1 vertices free; matching
+    each hub into the pentagon before it reaches that bound: 3k - 1 edges.
+    """
+    rng = random.Random(seed)
+    n = 6 * k - 1
+    pairs = [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(k) for j in range(5)]
+    for i in range(k - 1):
+        hub = 5 * k + i
+        pairs += [(hub, 5 * i + j) for j in rng.sample(range(5), 2)]
+        pairs += [(hub, 5 * (i + 1) + j) for j in rng.sample(range(5), 2)]
+    return _relabel(rng, n, pairs), 3 * k - 1
+
+
+def random_sparse(seed: int, n: int, m: int) -> Graph:
+    """Uniform random simple graph with m edges."""
+    rng = random.Random(seed)
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    return _relabel(rng, n, sorted(pairs))
+
+
+GOLDEN = {
+    "edgeless-300": (
+        lambda: edgeless(300)[0],
+        "044df4c4fd1f9cf1ba2af3a803f50365699e91d1cc8535f9ee90b92221ca35cf",
+    ),
+    "star-300": (
+        lambda: star(7, 300)[0],
+        "123091b8e071c1e0e9b48380c9f7b6ac718ccf63cf9eb3083524c2af93d8a0d6",
+    ),
+    "odd-cycles-50": (
+        lambda: odd_cycle_chain(1, 50)[0],
+        "7ed644a5f23295621c103236bace12f2d0c7f2c8774b7bacaebb9702c2f109a3",
+    ),
+    "random-300-450": (
+        lambda: random_sparse(13, 300, 450),
+        "53a8c30ad12a5910a26e688b4809a089ae8badd28eac703c332f1bc39e05c66b",
+    ),
+    "random-400-1200": (
+        lambda: random_sparse(17, 400, 1200),
+        "431c6cd8a55acd8002e5f69b2622ca33db0b070ba612bde84062877aad040c20",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_witness_bytes_are_golden(name):
+    build, digest = GOLDEN[name]
+    g = build()
+    w = solve_max_matching(g).witness
+    assert check_max_matching(MatchingTriple(g, w)).accepted
+    text = serialize_matching_witness(w)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: edgeless(8000), lambda: star(23, 8000), lambda: odd_cycle_chain(29, 1400)],
+    ids=["edgeless-8000", "star-8000", "odd-cycles-8399"],
+)
+def test_large_instances_accept_with_constructed_size(build):
+    g, size = build()
+    res = solve_max_matching(g)
+    assert res.output.num_edges == size
+    assert check_max_matching(MatchingTriple(g, res.witness)).accepted

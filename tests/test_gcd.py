@@ -101,3 +101,17 @@ def test_decision_property(a, b, g, s, t):
     assert checker_says == eval_says
     if checker_says is True:
         assert g == math.gcd(a, b)
+
+
+@pytest.mark.parametrize(
+    "g, s, clause",
+    [(-1, 0, "g_nonneg"), (2, 0, "divides_a"), (1, 0, "combination")],
+    ids=["g_nonneg", "divides_a", "combination"],
+)
+def test_rejection_of_5000_digit_numbers_is_total(g, s, clause):
+    # Decimal text of numbers past 4300 digits raises under CPython's
+    # default digit limit; the rejection must not need it.
+    a = 10**4999 + 1
+    v = check_gcd(GcdTriple(a, 2 * a, g * a, s, 0))
+    assert (v.accepted, v.clause) == (False, clause)
+    assert "bit integer" in v.detail

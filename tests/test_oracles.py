@@ -17,6 +17,8 @@ from certigraph.oracles import (
     enumerate_graphs,
     enumerate_matchings,
     find_matching_witness_exhaustive,
+    full_weight,
+    label_count,
 )
 
 from helpers import random_digraph, random_multigraph
@@ -106,3 +108,10 @@ def test_find_matching_witness_exhaustive():
             assert w.matching.num_edges == oracle_max_matching_size(g)
     with pytest.raises(InstanceTooLargeError):
         find_matching_witness_exhaustive(Graph(8, []))
+
+
+def test_weight_definitions_need_no_recursion_depth():
+    n = 3000
+    assert label_count([0] * n, 0, n) == n
+    labels = [1] * 1000 + [2] * 1001 + [n - 1] * 999
+    assert full_weight(labels, n, n - 1) == 1000 + 500 + 499
