@@ -38,17 +38,13 @@ from .graph import (
     Edge,
     Graph,
     has_no_duplicate_edges,
-    has_no_duplicate_edges_undirected,
     has_no_self_loops,
-    is_edge_undirected,
-    is_path,
-    is_walk,
-    path_cost,
     wellformed,
 )
 from .matching import (
     MatchingTriple,
     MatchingWitness,
+    check_cardinality,
     check_matching,
     check_max_matching,
     check_osc,
@@ -72,9 +68,7 @@ from .shortest_paths import (
     check_trian,
 )
 from .solvers import (
-    EmptyGraphError,
     SolverResult,
-    SourceOutOfRangeError,
     solve_connectivity,
     solve_gcd,
     solve_max_matching,
@@ -88,7 +82,6 @@ __all__ = [
     "ConnectivityWitness",
     "CutWitness",
     "Edge",
-    "EmptyGraphError",
     "ExtNat",
     "GcdTriple",
     "Graph",
@@ -100,12 +93,12 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "SolverResult",
-    "SourceOutOfRangeError",
     "SpTriple",
     "SpWitness",
     "SpanningTreeWitness",
     "Verdict",
     "WellformednessError",
+    "check_cardinality",
     "check_connectivity",
     "check_cut",
     "check_gcd",
@@ -122,11 +115,7 @@ __all__ = [
     "check_trian",
     "eval_witness_predicate",
     "has_no_duplicate_edges",
-    "has_no_duplicate_edges_undirected",
     "has_no_self_loops",
-    "is_edge_undirected",
-    "is_path",
-    "is_walk",
     "oracle_connected",
     "oracle_max_matching_size",
     "oracle_mu",
@@ -135,7 +124,6 @@ __all__ = [
     "parse_graph",
     "parse_matching_witness",
     "parse_sp_witness",
-    "path_cost",
     "reject",
     "serialize_connectivity_witness",
     "serialize_gcd",

@@ -114,15 +114,23 @@ def _emit(text: str, args: argparse.Namespace) -> int:
     return 0
 
 
+def _read(path: str) -> str:
+    """The file's text; bytes that do not decode are a parse error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise formats.ParseError(f"{path}: byte {exc.start} does not decode: {exc.reason}")
+
+
 def _check_connected(args: argparse.Namespace) -> int:
-    g, _ = formats.parse_graph(Path(args.graph_file).read_text())
-    w = formats.parse_connectivity_witness(Path(args.witness_file).read_text(), g)
+    g, _ = formats.parse_graph(_read(args.graph_file))
+    w = formats.parse_connectivity_witness(_read(args.witness_file), g)
     triple = ConnectivityTriple(g, isinstance(w, SpanningTreeWitness), w)
     return _verdict_to_exit(check_connectivity(triple))
 
 
 def _check_sp(args: argparse.Namespace) -> int:
-    g, cost = formats.parse_graph(Path(args.graph_file).read_text())
+    g, cost = formats.parse_graph(_read(args.graph_file))
     if cost is None:
         # A zero-edge graph has the (empty) cost vector whether or not a
         # cost column is present; with edges, the column is mandatory.
@@ -131,29 +139,29 @@ def _check_sp(args: argparse.Namespace) -> int:
                 "check-sp needs explicit edge costs in the graph file"
             )
         cost = ()
-    w = formats.parse_sp_witness(Path(args.witness_file).read_text(), g, cost)
+    w = formats.parse_sp_witness(_read(args.witness_file), g, cost)
     return _verdict_to_exit(check_shortest_paths(SpTriple(g, w)))
 
 
 def _check_matching(args: argparse.Namespace) -> int:
-    g, _ = formats.parse_graph(Path(args.graph_file).read_text())
-    w = formats.parse_matching_witness(Path(args.witness_file).read_text(), g)
+    g, _ = formats.parse_graph(_read(args.graph_file))
+    w = formats.parse_matching_witness(_read(args.witness_file), g)
     return _verdict_to_exit(check_max_matching(MatchingTriple(g, w)))
 
 
 def _check_gcd(args: argparse.Namespace) -> int:
-    triple = formats.parse_gcd_line(Path(args.gcd_file).read_text())
+    triple = formats.parse_gcd_line(_read(args.gcd_file))
     return _verdict_to_exit(check_gcd(triple))
 
 
 def _solve_connected(args: argparse.Namespace) -> int:
-    g, _ = formats.parse_graph(Path(args.graph_file).read_text())
+    g, _ = formats.parse_graph(_read(args.graph_file))
     result = solve_connectivity(g)
     return _emit(formats.serialize_connectivity_witness(result.witness), args)
 
 
 def _solve_sp(args: argparse.Namespace) -> int:
-    g, cost = formats.parse_graph(Path(args.graph_file).read_text())
+    g, cost = formats.parse_graph(_read(args.graph_file))
     if cost is None:
         cost = (1,) * g.num_edges
     result = solve_shortest_paths(g, cost, args.source)
@@ -161,7 +169,7 @@ def _solve_sp(args: argparse.Namespace) -> int:
 
 
 def _solve_matching(args: argparse.Namespace) -> int:
-    g, _ = formats.parse_graph(Path(args.graph_file).read_text())
+    g, _ = formats.parse_graph(_read(args.graph_file))
     result = solve_max_matching(g)
     return _emit(formats.serialize_matching_witness(result.witness), args)
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .graph import Graph, wellformed
-from .verdict import ACCEPT, PreconditionError, Verdict, reject
+from .graph import Graph, require_wellformed
+from .verdict import ACCEPT, Verdict, first_rejection, reject
 
 
 @dataclass(frozen=True)
@@ -73,79 +73,72 @@ class ConnectivityTriple:
             raise ValueError("witness variant does not match the connectivity claim")
 
 
-def check_r(g: Graph, w: SpanningTreeWitness) -> bool:
-    """True iff the root is a vertex with depth 0 and no parent edge.
+def check_r(g: Graph, w: SpanningTreeWitness) -> Verdict:
+    """Accept iff the root is a vertex with depth 0 and no parent edge.
 
     Expects arrays of length ``g.num_verts``.
     """
     r = w.root
-    return 0 <= r < g.num_verts and w.num[r] == 0 and w.parent_edge[r] is None
+    if 0 <= r < g.num_verts and w.num[r] == 0 and w.parent_edge[r] is None:
+        return ACCEPT
+    return reject("r", f"root {r} lacks depth 0 and no parent")
 
 
-def check_parent_num(g: Graph, w: SpanningTreeWitness) -> bool:
-    """True iff every non-root vertex hangs off its parent edge one level down.
+def check_parent_num(g: Graph, w: SpanningTreeWitness) -> Verdict:
+    """Accept iff every non-root vertex hangs off its parent edge one level down.
 
     Expects arrays of length ``g.num_verts``.
     """
-    return _parent_num_violation(g, w) is None
-
-
-def check_cut(g: Graph, w: CutWitness) -> bool:
-    """True iff the cut set is a proper nonempty vertex subset no edge crosses."""
-    return _cut_violation(g, w) is None
-
-
-def check_connectivity(t: ConnectivityTriple) -> Verdict:
-    """Decide whether the witness proves the claimed connectivity verdict.
-
-    Raises :class:`PreconditionError` if the graph is malformed.
-    """
-    g = t.graph
-    if not wellformed(g):
-        raise PreconditionError("wellformed", "edge endpoint out of range")
-    w = t.witness
-    if isinstance(w, SpanningTreeWitness):
-        n = g.num_verts
-        if len(w.parent_edge) != n or len(w.num) != n:
-            return reject("witness_shape", "per-vertex arrays must have length n")
-        if not check_r(g, w):
-            return reject("r", f"root {w.root} lacks depth 0 and no parent")
-        bad = _parent_num_violation(g, w)
-        if bad is not None:
-            return reject("parent_num", bad)
-        return ACCEPT
-    bad = _cut_violation(g, w)
-    if bad is not None:
-        return reject("cut", bad)
-    return ACCEPT
-
-
-def _parent_num_violation(g: Graph, w: SpanningTreeWitness) -> str | None:
     for v in range(g.num_verts):
         if v == w.root:
             continue
         e = w.parent_edge[v]
         if e is None or not 0 <= e < g.num_edges:
-            return f"vertex {v}: parent edge missing or out of range"
+            return reject("parent_num", f"vertex {v}: parent edge missing or out of range")
         a, b = g.edges[e]
         # The parent edge may be recorded in either orientation.
         if a == v and w.num[v] == w.num[b] + 1:
             continue
         if b == v and w.num[v] == w.num[a] + 1:
             continue
-        return f"vertex {v}: edge {e} does not join it one level below its parent"
-    return None
+        return reject(
+            "parent_num", f"vertex {v}: edge {e} does not join it one level below its parent"
+        )
+    return ACCEPT
 
 
-def _cut_violation(g: Graph, w: CutWitness) -> str | None:
+def check_cut(g: Graph, w: CutWitness) -> Verdict:
+    """Accept iff the cut set is a proper nonempty vertex subset no edge crosses."""
     s = w.cut_set
     if not s:
-        return "cut set is empty"
+        return reject("cut", "cut set is empty")
     if not all(0 <= v < g.num_verts for v in s):
-        return "cut set contains a non-vertex"
+        return reject("cut", "cut set contains a non-vertex")
     if len(s) == g.num_verts:
-        return "cut set is the whole vertex set"
+        return reject("cut", "cut set is the whole vertex set")
     for i, e in enumerate(g.edges):
         if (e.src in s) != (e.trg in s):
-            return f"edge {i} crosses the cut"
-    return None
+            return reject("cut", f"edge {i} crosses the cut")
+    return ACCEPT
+
+
+def _tree_shape(g: Graph, w: SpanningTreeWitness) -> Verdict:
+    if len(w.parent_edge) == len(w.num) == g.num_verts:
+        return ACCEPT
+    return reject("witness_shape", "per-vertex arrays must have length n")
+
+
+TREE_CLAUSES = (_tree_shape, check_r, check_parent_num)
+CUT_CLAUSES = (check_cut,)
+
+
+def check_connectivity(t: ConnectivityTriple) -> Verdict:
+    """Decide whether the witness proves the claimed connectivity verdict.
+
+    Rejections name the first failing clause of ``TREE_CLAUSES`` or
+    ``CUT_CLAUSES``. Raises :class:`PreconditionError` if the graph is
+    malformed.
+    """
+    require_wellformed(t.graph)
+    clauses = TREE_CLAUSES if isinstance(t.witness, SpanningTreeWitness) else CUT_CLAUSES
+    return first_rejection(clauses, t.graph, t.witness)

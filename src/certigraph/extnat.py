@@ -28,10 +28,6 @@ class ExtNat:
                 raise ValueError(f"ExtNat must be nonnegative, got {self.value}")
 
     @property
-    def is_finite(self) -> bool:
-        return self.value is not None
-
-    @property
     def is_infinite(self) -> bool:
         return self.value is None
 

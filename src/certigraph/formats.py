@@ -130,11 +130,14 @@ def parse_connectivity_witness(text: str, g: Graph) -> ConnectivityWitness:
     if rows and rows[0][1] and rows[0][1][0] == "cut":
         (k,) = _tag_row(rows, "cut", 1)
         body = _body(rows, k, "cut vertex")
-        members = []
+        members: set[int] = set()
         for lineno, toks in body:
             if len(toks) != 1:
                 raise ParseError(f"line {lineno}: expected one vertex id")
-            members.append(_nat(toks[0], lineno))
+            v = _nat(toks[0], lineno)
+            if v in members:
+                raise ParseError(f"line {lineno}: vertex {v} repeats in the cut")
+            members.add(v)
         return CutWitness(frozenset(members))
     (root,) = _tag_row(rows, "tree", 1)
     body = _body(rows, g.num_verts, "vertex")

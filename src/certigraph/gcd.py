@@ -28,15 +28,20 @@ class GcdTriple:
     t: int
 
 
+def require_gcd_inputs(a: int, b: int) -> None:
+    """Raise :class:`PreconditionError` unless a >= 0, b >= 0, and a + b > 0."""
+    if a < 0 or b < 0:
+        raise PreconditionError("nonneg_inputs", "a and b must be nonnegative")
+    if a + b == 0:
+        raise PreconditionError("not_both_zero", "gcd(0, 0) is undefined")
+
+
 def check_gcd(t: GcdTriple) -> Verdict:
     """Decide whether (g, s, t) certifies gcd(a, b) = g.
 
     Raises :class:`PreconditionError` unless a >= 0, b >= 0, and a + b > 0.
     """
-    if t.a < 0 or t.b < 0:
-        raise PreconditionError("nonneg_inputs", "a and b must be nonnegative")
-    if t.a + t.b == 0:
-        raise PreconditionError("not_both_zero", "gcd(0, 0) is undefined")
+    require_gcd_inputs(t.a, t.b)
     if t.g < 0:
         return reject("g_nonneg", f"claimed gcd {_show(t.g)} is negative")
     if not _divides(t.g, t.a):

@@ -12,7 +12,9 @@ never silently assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
+
+from .verdict import PreconditionError
 
 
 class Edge(NamedTuple):
@@ -43,6 +45,12 @@ def wellformed(g: Graph) -> bool:
     return all(0 <= e.src < n and 0 <= e.trg < n for e in g.edges)
 
 
+def require_wellformed(g: Graph) -> None:
+    """Raise :class:`PreconditionError` unless ``g`` is wellformed."""
+    if not wellformed(g):
+        raise PreconditionError("wellformed", "edge endpoint out of range")
+
+
 def has_no_self_loops(g: Graph) -> bool:
     return all(e.src != e.trg for e in g.edges)
 
@@ -50,51 +58,6 @@ def has_no_self_loops(g: Graph) -> bool:
 def has_no_duplicate_edges(g: Graph) -> bool:
     """True iff no ordered (src, trg) pair occurs twice.
 
-    (0, 1) and (1, 0) do not count as duplicates of each other; use
-    :func:`has_no_duplicate_edges_undirected` for the orientation-blind test.
+    (0, 1) and (1, 0) do not count as duplicates of each other.
     """
     return len(set(g.edges)) == g.num_edges
-
-
-def has_no_duplicate_edges_undirected(g: Graph) -> bool:
-    """True iff no unordered endpoint pair occurs twice."""
-    seen = {frozenset((e.src, e.trg)) for e in g.edges}
-    return len(seen) == g.num_edges
-
-
-def is_edge_undirected(g: Graph, u: int, v: int) -> bool:
-    """True iff some edge joins u and v in either orientation."""
-    return any(
-        (e.src == u and e.trg == v) or (e.src == v and e.trg == u) for e in g.edges
-    )
-
-
-def is_walk(g: Graph, p: Sequence[int], u: int, v: int) -> bool:
-    """True iff edge-id sequence ``p`` is a directed walk from u to v.
-
-    The empty sequence is a walk from u to u. Each id must name an edge of
-    ``g``, the first edge must start at u, consecutive edges must chain
-    target-to-source, and the last edge must end at v.
-    """
-    cur = u
-    for e in p:
-        if not 0 <= e < g.num_edges or g.edges[e].src != cur:
-            return False
-        cur = g.edges[e].trg
-    return cur == v
-
-
-def is_path(g: Graph, p: Sequence[int], u: int, v: int) -> bool:
-    """True iff ``p`` is a walk from u to v visiting no vertex twice.
-
-    The visited sequence is u followed by the target of each edge.
-    """
-    if not is_walk(g, p, u, v):
-        return False
-    visited = [u] + [g.edges[e].trg for e in p]
-    return len(set(visited)) == len(visited)
-
-
-def path_cost(cost: Sequence[int], p: Sequence[int]) -> int:
-    """Total cost of the edges of ``p`` (0 for the empty walk)."""
-    return sum(cost[e] for e in p)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, has_no_duplicate_edges, has_no_self_loops, wellformed
-from .verdict import ACCEPT, PreconditionError, Verdict, reject
+from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,62 @@ class MatchingTriple:
     witness: MatchingWitness
 
 
-def check_subset(g: Graph, m: Graph, f: Sequence[int]) -> bool:
-    """True iff ``f`` maps every M-edge to a G-edge with the same endpoints.
+def check_subset(g: Graph, m: Graph, f: Sequence[int]) -> Verdict:
+    """Accept iff ``f`` maps every M-edge to a G-edge with the same endpoints.
 
     Orientation may differ: an M-edge (u, v) may map to a G-edge (v, u).
-    Expects ``f`` to have one entry per M-edge.
     """
-    return _subset_violation(g, m, f) is None
+    if len(f) != m.num_edges:
+        return reject("subset", "edge map length differs from M")
+    for i, e in enumerate(m.edges):
+        fe = f[i]
+        if not 0 <= fe < g.num_edges:
+            return reject("subset", f"M-edge {i} maps outside G")
+        ge = g.edges[fe]
+        if {e.src, e.trg} != {ge.src, ge.trg}:
+            return reject("subset", f"M-edge {i} and G-edge {fe} have different endpoints")
+    return ACCEPT
 
 
-def check_matching(m: Graph) -> bool:
-    """True iff no vertex is an endpoint of two edges of ``m``."""
-    return _matching_violation(m) is None
+def check_matching(m: Graph) -> Verdict:
+    """Accept iff no vertex is an endpoint of two edges of ``m``."""
+    degree = [0] * m.num_verts
+    for i, e in enumerate(m.edges):
+        if degree[e.src] or degree[e.trg]:
+            return reject("matching", f"edge {i} shares an endpoint with an earlier edge")
+        degree[e.src] = 1
+        degree[e.trg] = 1
+    return ACCEPT
 
 
-def check_osc(g: Graph, osc: Sequence[int]) -> bool:
-    """True iff the labels are in range and cover every edge of ``g``.
+def check_osc(g: Graph, osc: Sequence[int]) -> Verdict:
+    """Accept iff the labels are in range and cover every edge of ``g``.
 
     In range means ``0 <= osc[v] < g.num_verts``. An edge is covered when
     an endpoint is labeled 1 or both endpoints share a label >= 2.
     """
-    return _osc_violation(g, osc) is None
+    n = g.num_verts
+    for v in range(n):
+        if not 0 <= osc[v] < n:
+            return reject("osc", f"label of vertex {v} out of range")
+    for i, e in enumerate(g.edges):
+        a, b = osc[e.src], osc[e.trg]
+        if a == 1 or b == 1:
+            continue
+        if a == b and a >= 2:
+            continue
+        return reject("osc", f"edge {i} is not covered")
+    return ACCEPT
+
+
+def check_cardinality(g: Graph, m: Graph, osc: Sequence[int]) -> Verdict:
+    """Accept iff the cover's bound ``weight(g, osc)`` equals |M|."""
+    bound = weight(g, osc)
+    if m.num_edges == bound:
+        return ACCEPT
+    return reject(
+        "cardinality", f"|M| = {m.num_edges} but the cover bounds matchings by {bound}"
+    )
 
 
 def weight(g: Graph, osc: Sequence[int]) -> int:
@@ -85,33 +120,31 @@ def weight(g: Graph, osc: Sequence[int]) -> int:
     return counts[1] + sum(c // 2 for label, c in counts.items() if label >= 2)
 
 
+def _shape(g: Graph, w: MatchingWitness) -> Verdict:
+    if len(w.edge_map) == w.matching.num_edges and len(w.osc) == g.num_verts:
+        return ACCEPT
+    return reject("witness_shape", "edge map must match M, labels must match G")
+
+
+CLAUSES = (
+    _shape,
+    lambda g, w: check_subset(g, w.matching, w.edge_map),
+    lambda g, w: check_matching(w.matching),
+    lambda g, w: check_osc(g, w.osc),
+    lambda g, w: check_cardinality(g, w.matching, w.osc),
+)
+
+
 def check_max_matching(t: MatchingTriple) -> Verdict:
     """Decide whether the cover proves the claimed matching maximum.
 
-    Raises :class:`PreconditionError` unless both graphs are wellformed
-    over the same vertex set, neither has self-loops, and the input graph
-    has no duplicate (ordered) edges.
+    Rejections name the first failing clause of ``CLAUSES``. Raises
+    :class:`PreconditionError` unless both graphs are wellformed over the
+    same vertex set, neither has self-loops, and the input graph has no
+    duplicate (ordered) edges.
     """
-    g, w = t.graph, t.witness
-    m = w.matching
-    require_matching_inputs(g, m)
-    if len(w.edge_map) != m.num_edges or len(w.osc) != g.num_verts:
-        return reject("witness_shape", "edge map must match M, labels must match G")
-    bad = _subset_violation(g, m, w.edge_map)
-    if bad is not None:
-        return reject("subset", bad)
-    bad = _matching_violation(m)
-    if bad is not None:
-        return reject("matching", bad)
-    bad = _osc_violation(g, w.osc)
-    if bad is not None:
-        return reject("osc", bad)
-    if m.num_edges != weight(g, w.osc):
-        return reject(
-            "cardinality",
-            f"|M| = {m.num_edges} but the cover bounds matchings by {weight(g, w.osc)}",
-        )
-    return ACCEPT
+    require_matching_inputs(t.graph, t.witness.matching)
+    return first_rejection(CLAUSES, t.graph, t.witness)
 
 
 def require_matching_inputs(g: Graph, m: Graph) -> None:
@@ -128,41 +161,3 @@ def require_matching_inputs(g: Graph, m: Graph) -> None:
         raise PreconditionError("duplicate_edges", "G has a duplicate edge")
     if m.num_verts != g.num_verts:
         raise PreconditionError("vertex_count", "M and G must share the vertex set")
-
-
-def _subset_violation(g: Graph, m: Graph, f: Sequence[int]) -> str | None:
-    if len(f) != m.num_edges:
-        return "edge map length differs from M"
-    for i, e in enumerate(m.edges):
-        fe = f[i]
-        if not 0 <= fe < g.num_edges:
-            return f"M-edge {i} maps outside G"
-        ge = g.edges[fe]
-        if {e.src, e.trg} != {ge.src, ge.trg}:
-            return f"M-edge {i} and G-edge {fe} have different endpoints"
-    return None
-
-
-def _matching_violation(m: Graph) -> str | None:
-    degree = [0] * m.num_verts
-    for i, e in enumerate(m.edges):
-        if degree[e.src] or degree[e.trg]:
-            return f"edge {i} shares an endpoint with an earlier edge"
-        degree[e.src] = 1
-        degree[e.trg] = 1
-    return None
-
-
-def _osc_violation(g: Graph, osc: Sequence[int]) -> str | None:
-    n = g.num_verts
-    for v in range(n):
-        if not 0 <= osc[v] < n:
-            return f"label of vertex {v} out of range"
-    for i, e in enumerate(g.edges):
-        a, b = osc[e.src], osc[e.trg]
-        if a == 1 or b == 1:
-            continue
-        if a == b and a >= 2:
-            continue
-        return f"edge {i} is not covered"
-    return None

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .extnat import ExtNat
-from .graph import Graph, wellformed
-from .verdict import ACCEPT, PreconditionError, Verdict, reject
+from .graph import Graph, require_wellformed
+from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject
 
 
 @dataclass(frozen=True)
@@ -59,83 +59,79 @@ class SpTriple:
     witness: SpWitness
 
 
-def check_start_val(w: SpWitness) -> bool:
-    """True iff the source's claimed distance is exactly 0."""
-    return 0 <= w.source < len(w.dist) and w.dist[w.source] == ExtNat(0)
+def check_start_val(w: SpWitness) -> Verdict:
+    """Accept iff the source's claimed distance is exactly 0."""
+    if 0 <= w.source < len(w.dist) and w.dist[w.source] == ExtNat(0):
+        return ACCEPT
+    return reject("start_val", f"dist[{w.source}] != 0")
 
 
-def check_no_path(g: Graph, w: SpWitness) -> bool:
-    """True iff dist[v] is infinite exactly when num[v] is infinite."""
-    return all(
-        w.dist[v].is_infinite == w.num[v].is_infinite for v in range(g.num_verts)
-    )
+def check_no_path(g: Graph, w: SpWitness) -> Verdict:
+    """Accept iff dist[v] is infinite exactly when num[v] is infinite."""
+    if all(w.dist[v].is_infinite == w.num[v].is_infinite for v in range(g.num_verts)):
+        return ACCEPT
+    return reject("no_path", "dist and num disagree on reachability")
 
 
-def check_trian(g: Graph, w: SpWitness) -> bool:
-    """True iff every edge satisfies dist[trg] <= dist[src] + cost."""
-    return _trian_violation(g, w) is None
+def check_trian(g: Graph, w: SpWitness) -> Verdict:
+    """Accept iff every edge satisfies dist[trg] <= dist[src] + cost."""
+    for i, e in enumerate(g.edges):
+        if not w.dist[e.trg] <= w.dist[e.src] + w.cost[i]:
+            return reject("trian", f"edge {i} improves dist[{e.trg}]")
+    return ACCEPT
 
 
-def check_just(g: Graph, w: SpWitness) -> bool:
-    """True iff every reached non-source vertex is justified by its parent edge.
+def check_just(g: Graph, w: SpWitness) -> Verdict:
+    """Accept iff every reached non-source vertex is justified by its parent edge.
 
     Reached means num[v] is finite. The parent edge must end at v, start
     one depth level up, and account exactly for the claimed distance.
     """
-    return _just_violation(g, w) is None
-
-
-def check_shortest_paths(t: SpTriple) -> Verdict:
-    """Decide the shortest-path witness predicate for the triple.
-
-    Raises :class:`PreconditionError` if the graph is malformed or the
-    source is not a vertex.
-    """
-    g, w = t.graph, t.witness
-    if not wellformed(g):
-        raise PreconditionError("wellformed", "edge endpoint out of range")
-    if not 0 <= w.source < g.num_verts:
-        raise PreconditionError("source", f"source {w.source} is not a vertex")
-    n, m = g.num_verts, g.num_edges
-    if (
-        len(w.dist) != n
-        or len(w.num) != n
-        or len(w.parent_edge) != n
-        or len(w.cost) != m
-    ):
-        return reject("witness_shape", "arrays must have length n (per-vertex) and m (cost)")
-    if not check_start_val(w):
-        return reject("start_val", f"dist[{w.source}] != 0")
-    if not check_no_path(g, w):
-        return reject("no_path", "dist and num disagree on reachability")
-    bad = _trian_violation(g, w)
-    if bad is not None:
-        return reject("trian", bad)
-    bad = _just_violation(g, w)
-    if bad is not None:
-        return reject("just", bad)
-    return ACCEPT
-
-
-def _trian_violation(g: Graph, w: SpWitness) -> str | None:
-    for i, e in enumerate(g.edges):
-        if not w.dist[e.trg] <= w.dist[e.src] + w.cost[i]:
-            return f"edge {i} improves dist[{e.trg}]"
-    return None
-
-
-def _just_violation(g: Graph, w: SpWitness) -> str | None:
     for v in range(g.num_verts):
         if v == w.source or w.num[v].is_infinite:
             continue
         e = w.parent_edge[v]
         if e is None or not 0 <= e < g.num_edges:
-            return f"vertex {v}: parent edge missing or out of range"
+            return reject("just", f"vertex {v}: parent edge missing or out of range")
         u, trg = g.edges[e]
         if trg != v:
-            return f"vertex {v}: parent edge {e} does not end at it"
+            return reject("just", f"vertex {v}: parent edge {e} does not end at it")
         if w.dist[v] != w.dist[u] + w.cost[e]:
-            return f"vertex {v}: dist not justified by parent edge {e}"
+            return reject("just", f"vertex {v}: dist not justified by parent edge {e}")
         if w.num[v] != w.num[u] + 1:
-            return f"vertex {v}: num not one more than its parent's"
-    return None
+            return reject("just", f"vertex {v}: num not one more than its parent's")
+    return ACCEPT
+
+
+def _shape(g: Graph, w: SpWitness) -> Verdict:
+    n = g.num_verts
+    if len(w.dist) == len(w.num) == len(w.parent_edge) == n and len(w.cost) == g.num_edges:
+        return ACCEPT
+    return reject("witness_shape", "arrays must have length n (per-vertex) and m (cost)")
+
+
+CLAUSES = (
+    _shape,
+    lambda g, w: check_start_val(w),
+    check_no_path,
+    check_trian,
+    check_just,
+)
+
+
+def require_sp_inputs(g: Graph, source: int) -> None:
+    """Raise :class:`PreconditionError` unless g is wellformed and has the source."""
+    require_wellformed(g)
+    if not 0 <= source < g.num_verts:
+        raise PreconditionError("source", f"source {source} is not a vertex")
+
+
+def check_shortest_paths(t: SpTriple) -> Verdict:
+    """Decide the shortest-path witness predicate for the triple.
+
+    Rejections name the first failing clause of ``CLAUSES``. Raises
+    :class:`PreconditionError` if the graph is malformed or the source is
+    not a vertex.
+    """
+    require_sp_inputs(t.graph, t.witness.source)
+    return first_rejection(CLAUSES, t.graph, t.witness)

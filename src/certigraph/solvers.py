@@ -17,14 +17,10 @@ from typing import Generic, Sequence, TypeVar
 from . import blossom
 from .connectivity import ConnectivityWitness, CutWitness, SpanningTreeWitness
 from .extnat import INFINITY, ExtNat
-from .graph import (
-    Graph,
-    has_no_duplicate_edges,
-    has_no_self_loops,
-    wellformed,
-)
-from .matching import MatchingWitness
-from .shortest_paths import SpWitness
+from .gcd import require_gcd_inputs
+from .graph import Graph, require_wellformed
+from .matching import MatchingWitness, require_matching_inputs
+from .shortest_paths import SpWitness, require_sp_inputs
 from .verdict import PreconditionError
 
 Y = TypeVar("Y")
@@ -39,14 +35,6 @@ class SolverResult(Generic[Y, W]):
     witness: W
 
 
-class EmptyGraphError(PreconditionError):
-    """The solver needs at least one vertex."""
-
-
-class SourceOutOfRangeError(PreconditionError):
-    """The requested source is not a vertex of the graph."""
-
-
 def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     """Breadth-first search from vertex 0; edges are traversable both ways.
 
@@ -54,11 +42,10 @@ def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     are the BFS levels; disconnected graphs yield the cut consisting of
     everything reachable from 0.
     """
-    if not wellformed(g):
-        raise PreconditionError("wellformed", "edge endpoint out of range")
+    require_wellformed(g)
     n = g.num_verts
     if n == 0:
-        raise EmptyGraphError("empty_graph", "need at least one vertex")
+        raise PreconditionError("empty_graph", "need at least one vertex")
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, e in enumerate(g.edges):
         incident[e.src].append((i, e.trg))
@@ -94,11 +81,8 @@ def solve_shortest_paths(
     improvement, so the parent pointers always form a tree, and the depth
     numbers are recomputed from that tree after the run.
     """
-    if not wellformed(g):
-        raise PreconditionError("wellformed", "edge endpoint out of range")
+    require_sp_inputs(g, source)
     n = g.num_verts
-    if not 0 <= source < n:
-        raise SourceOutOfRangeError("source", f"source {source} is not a vertex")
     if len(cost) != g.num_edges:
         raise PreconditionError("cost_shape", "need one cost per edge")
     if any(c < 0 for c in cost):
@@ -163,12 +147,8 @@ def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:
     edge id per matched pair), so the witness's edge map is trivially
     valid; the cover labels certify maximality.
     """
-    if not wellformed(g):
-        raise PreconditionError("wellformed", "edge endpoint out of range")
-    if not has_no_self_loops(g):
-        raise PreconditionError("self_loops", "G has a self-loop")
-    if not has_no_duplicate_edges(g):
-        raise PreconditionError("duplicate_edges", "G has a duplicate edge")
+    # The empty matching meets every condition on M, so only G's are tested.
+    require_matching_inputs(g, Graph(g.num_verts, ()))
     edge_ids, labels = blossom.maximum_matching_with_cover(g)
     m = Graph(g.num_verts, [g.edges[i] for i in edge_ids])
     witness = MatchingWitness(m, edge_ids, labels)
@@ -177,10 +157,7 @@ def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:
 
 def solve_gcd(a: int, b: int) -> SolverResult[int, tuple[int, int]]:
     """Extended Euclid: gcd plus Bezout coefficients, all exact."""
-    if a < 0 or b < 0:
-        raise PreconditionError("nonneg_inputs", "a and b must be nonnegative")
-    if a + b == 0:
-        raise PreconditionError("not_both_zero", "gcd(0, 0) is undefined")
+    require_gcd_inputs(a, b)
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1

@@ -9,6 +9,7 @@ exception. Inputs that violate the precondition raise
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,19 @@ ACCEPT = Verdict(True)
 
 def reject(clause: str, detail: str = "") -> Verdict:
     return Verdict(False, clause, detail)
+
+
+def first_rejection(clauses: Iterable[Callable[..., Verdict]], *args) -> Verdict:
+    """The verdict of the first clause that rejects ``args``, else ACCEPT.
+
+    A checker is the conjunction of its clauses in a fixed order; later
+    clauses may assume that earlier ones hold.
+    """
+    for clause in clauses:
+        verdict = clause(*args)
+        if not verdict:
+            return verdict
+    return ACCEPT
 
 
 class PreconditionError(Exception):

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 from certigraph.cli import cli_main
 
 from conftest import DATA
@@ -65,6 +69,34 @@ def test_parse_error_exits_2(capsys, tmp_path):
     path.write_text("graph 2 1\n0 one\n")
     code, out = run(capsys, "check-connected", str(path), str(DATA / "connected_5v.tree"))
     assert code == 2 and out.startswith("ERROR:")
+
+
+def test_repeated_cut_vertex_exits_2(capsys, tmp_path):
+    graph = tmp_path / "three.graph"
+    graph.write_text("graph 3 1\n0 1\n")
+    cut = tmp_path / "repeat.cut"
+    cut.write_text("cut 2\n2\n2\n")
+    code, out = run(capsys, "check-connected", str(graph), str(cut))
+    assert code == 2 and out.startswith("ERROR:")
+
+
+def test_undecodable_files_exit_2(capsys, tmp_path):
+    bad = tmp_path / "bad.bytes"
+    bad.write_bytes(b"graph 2 1\n0 \xff\n")
+    code, out = run(capsys, "check-connected", str(bad), str(DATA / "connected_5v.tree"))
+    assert code == 2 and out.startswith("ERROR:")
+    code, out = run(capsys, "check-connected", str(DATA / "connected_5v.graph"), str(bad))
+    assert code == 2 and out.startswith("ERROR:")
+
+
+def test_python_m_runs_the_cli(capsys):
+    gcd = str((DATA / "gcd_example.gcd").resolve())
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "certigraph", "check-gcd", gcd],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == run(capsys, "check-gcd", gcd) == (0, "ACCEPT\n")
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

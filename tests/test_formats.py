@@ -89,6 +89,12 @@ def test_cut_round_trip():
     assert parse_connectivity_witness(text, g) == w
 
 
+def test_cut_rejects_repeated_vertex():
+    # The set would shrink to {2}, which is no longer what the file declares.
+    with pytest.raises(ParseError, match="line 3: vertex 2 repeats"):
+        parse_connectivity_witness("cut 2\n2\n2\n", Graph(3, [(0, 1)]))
+
+
 def test_serialized_forms_are_trailing_newline_terminated(demo_graph):
     assert serialize_graph(demo_graph).endswith("1 1\n")
     assert not serialize_graph(demo_graph).endswith("\n\n")

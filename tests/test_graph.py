@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 from certigraph import (
     Graph,
     has_no_duplicate_edges,
-    has_no_duplicate_edges_undirected,
     has_no_self_loops,
-    is_edge_undirected,
-    is_path,
-    is_walk,
-    path_cost,
     wellformed,
 )
 
@@ -49,36 +44,6 @@ def test_duplicate_edges_ordered_vs_undirected(demo_graph):
     assert not has_no_duplicate_edges(demo_graph)  # edges 0 and 8 are both (0, 1)
     g = Graph(2, [(0, 1), (1, 0)])
     assert has_no_duplicate_edges(g)
-    assert not has_no_duplicate_edges_undirected(g)
-
-
-def test_is_edge_undirected(zero_cycle_graph):
-    assert is_edge_undirected(zero_cycle_graph, 1, 0)  # (0, 1) read backwards
-    assert not is_edge_undirected(zero_cycle_graph, 0, 4)
-
-
-def test_is_walk(zero_cycle_graph):
-    g = zero_cycle_graph
-    assert is_walk(g, [0, 3], 0, 3)  # 0 ->1 via edge 0, 1 ->3 via edge 3
-    assert not is_walk(g, [1, 3], 0, 3)  # edge 1 ends at 2, edge 3 starts at 1
-    assert is_walk(g, [], 2, 2)
-    assert not is_walk(g, [], 0, 2)
-    assert not is_walk(g, [99], 0, 1)  # no such edge
-    assert not is_walk(g, [-1], 0, 1)
-
-
-def test_is_path(zero_cycle_graph):
-    g = zero_cycle_graph
-    assert is_path(g, [0, 3], 0, 3)
-    assert is_path(g, [], 4, 4)
-    # 0 ->1 ->3 ->1 revisits vertex 1: a walk but not a path
-    assert is_walk(g, [0, 3, 4], 0, 1)
-    assert not is_path(g, [0, 3, 4], 0, 1)
-
-
-def test_path_cost(zero_cycle_cost):
-    assert path_cost(zero_cycle_cost, [0, 3]) == 1
-    assert path_cost(zero_cycle_cost, []) == 0
 
 
 @given(graphs())
@@ -86,28 +51,3 @@ def test_wellformed_monotone_under_edge_removal(g):
     if wellformed(g) and g.num_edges:
         smaller = Graph(g.num_verts, g.edges[:-1])
         assert wellformed(smaller)
-
-
-@given(graphs(), st.data())
-def test_path_implies_walk_and_distinct(g, data):
-    # Sample candidate edge sequences; whenever one is a path it is a walk.
-    if g.num_verts == 0:
-        return
-    p = data.draw(st.lists(st.integers(0, max(g.num_edges, 1)), max_size=4))
-    u = data.draw(st.integers(0, g.num_verts - 1))
-    v = data.draw(st.integers(0, g.num_verts - 1))
-    if is_path(g, p, u, v):
-        assert is_walk(g, p, u, v)
-
-
-@given(graphs(), st.data())
-def test_walks_concatenate(g, data):
-    if g.num_verts == 0:
-        return
-    p = data.draw(st.lists(st.integers(0, max(g.num_edges - 1, 0)), max_size=3))
-    q = data.draw(st.lists(st.integers(0, max(g.num_edges - 1, 0)), max_size=3))
-    u = data.draw(st.integers(0, g.num_verts - 1))
-    v = data.draw(st.integers(0, g.num_verts - 1))
-    w = data.draw(st.integers(0, g.num_verts - 1))
-    if is_walk(g, p, u, v) and is_walk(g, q, v, w):
-        assert is_walk(g, list(p) + list(q), u, w)

@@ -5,13 +5,11 @@ import pytest
 from certigraph import (
     ConnectivityTriple,
     CutWitness,
-    EmptyGraphError,
     ExtNat,
     Graph,
     INFINITY,
     MatchingTriple,
     PreconditionError,
-    SourceOutOfRangeError,
     SpTriple,
     check_connectivity,
     check_max_matching,
@@ -47,8 +45,9 @@ def test_connectivity_solver_single_vertex():
 
 
 def test_connectivity_solver_rejects_empty_graph():
-    with pytest.raises(EmptyGraphError):
+    with pytest.raises(PreconditionError) as exc:
         solve_connectivity(Graph(0, []))
+    assert exc.value.clause == "empty_graph"
 
 
 def test_connectivity_solver_random_always_certified():
@@ -91,8 +90,9 @@ def test_sp_solver_zero_cost_depths_form_tree():
 
 
 def test_sp_solver_preconditions():
-    with pytest.raises(SourceOutOfRangeError):
+    with pytest.raises(PreconditionError) as exc:
         solve_shortest_paths(Graph(2, []), (), 5)
+    assert exc.value.clause == "source"
     with pytest.raises(PreconditionError) as exc:
         solve_shortest_paths(Graph(2, [(0, 1)]), (), 0)
     assert exc.value.clause == "cost_shape"
