@@ -51,13 +51,6 @@ from .matching import (
     check_subset,
     weight,
 )
-from .oracles import (
-    InstanceTooLargeError,
-    eval_witness_predicate,
-    oracle_connected,
-    oracle_max_matching_size,
-    oracle_mu,
-)
 from .shortest_paths import (
     SpTriple,
     SpWitness,
@@ -137,3 +130,22 @@ __all__ = [
     "wellformed",
     "weight",
 ]
+
+
+_ORACLES = (
+    "InstanceTooLargeError",
+    "eval_witness_predicate",
+    "oracle_connected",
+    "oracle_max_matching_size",
+    "oracle_mu",
+)
+
+
+def __getattr__(name: str):
+    # The brute-force oracles are test machinery that no solver, checker
+    # or CLI command uses, so they load on first access, not with the CLI.
+    if name in _ORACLES:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

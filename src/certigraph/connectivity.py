@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .graph import Graph, require_wellformed
-from .verdict import ACCEPT, Verdict, first_rejection, reject
+from .verdict import ACCEPT, Verdict, first_rejection, reject, shown
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def check_r(g: Graph, w: SpanningTreeWitness) -> Verdict:
     r = w.root
     if 0 <= r < g.num_verts and w.num[r] == 0 and w.parent_edge[r] is None:
         return ACCEPT
-    return reject("r", f"root {r} lacks depth 0 and no parent")
+    return reject("r", f"root {shown(r)} lacks depth 0 and no parent")
 
 
 def check_parent_num(g: Graph, w: SpanningTreeWitness) -> Verdict:

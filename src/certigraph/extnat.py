@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtNat:
     """A nonnegative integer or infinity (encoded as ``value = None``).
 

@@ -19,9 +19,24 @@ Formats (first line is a tag line):
 
 Edge costs live in the graph file; shortest-path witness files reference
 them implicitly, so parsing one requires the graph (and its costs).
+
+Numbers have no digit limit in either direction: long tokens are read and
+written in pieces, and the interpreter's int/str digit limit is never
+changed.
+
+Graph, tree and sp files in the layout the serializers write (single
+spaces, ``\n`` line ends, no blank line) are read in bulk: one regular
+expression scan for a line of the wrong shape, then one ``split`` and
+``int`` over all tokens. Any other input, and any bulk read that finds a
+bad count, an out-of-range endpoint or a number past the digit limit,
+goes to the per-line reader, which defines what is accepted and is the
+only source of error messages.
 """
 
 from __future__ import annotations
+
+import functools
+import re
 
 from .connectivity import ConnectivityWitness, CutWitness, SpanningTreeWitness
 from .extnat import INFINITY, ExtNat
@@ -57,17 +72,49 @@ def _rows(text: str) -> _Rows:
     return rows
 
 
+_SAFE_DIGITS = 640  # the lowest digit limit CPython can be set to
+
+
+def _digits_value(digits: str) -> int:
+    """The value of an ASCII digit string of any length.
+
+    Long strings are split in halves until each piece is short enough for
+    ``int`` under any digit limit.
+    """
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return _digits_value(digits[:-low]) * 10**low + _digits_value(digits[-low:])
+
+
+def _decimal(x: int) -> str:
+    """``str(x)`` for an int of any size, whatever the digit limit."""
+    try:
+        return str(x)
+    except ValueError:  # past the limit: write the halves
+        pass
+    if x < 0:
+        return "-" + _decimal(-x)
+    low = x.bit_length() * 3 // 20  # about half the digits, as log10(2) ~ 0.3
+    high, rest = divmod(x, 10**low)
+    return _decimal(high) + _decimal(rest).zfill(low)
+
+
+def _ext_decimal(x: ExtNat) -> str:
+    return "INF" if x.value is None else _decimal(x.value)
+
+
 def _nat(token: str, lineno: int) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ParseError(f"line {lineno}: expected a nonnegative integer, got {token!r}")
-    return int(token)
+    return _digits_value(token)
 
 
 def _signed(token: str, lineno: int) -> int:
     body = token[1:] if token.startswith("-") else token
     if not (body and body.isascii() and body.isdigit()):
         raise ParseError(f"line {lineno}: expected an integer, got {token!r}")
-    return int(token)
+    return -_digits_value(body) if token.startswith("-") else _digits_value(body)
 
 
 def _tag_row(rows: _Rows, tag: str, values: int) -> list[int]:
@@ -85,7 +132,7 @@ def _body(rows: _Rows, expected: int, what: str) -> _Rows:
     body = rows[1:]
     if len(body) != expected:
         raise LengthMismatchError(
-            f"expected {expected} {what} line(s), found {len(body)}"
+            f"expected {_decimal(expected)} {what} line(s), found {len(body)}"
         )
     return body
 
@@ -98,8 +145,101 @@ def _ext_nat(token: str, lineno: int) -> ExtNat:
     return INFINITY if token == "INF" else ExtNat(_nat(token, lineno))
 
 
+@functools.cache
+def _misfit(shape: str) -> re.Pattern[str]:
+    """A search for the start of a line that is not exactly ``shape``."""
+    return re.compile(rf"^(?!{shape}$)", re.MULTILINE)
+
+
+def _bulk_tokens(text: str, tag: str, values: int, shape: str) -> tuple[list[int], list[str]] | None:
+    """The header values and body tokens of a file in the serializers' layout.
+
+    None unless the tag line is ``<tag>`` and ``values`` numbers and every
+    body line is ``shape``, all separated by single spaces and ended by
+    ``\n``. Each line is matched on its own, so the regular expression
+    engine's memory does not grow with the file.
+    """
+    if not text.endswith("\n"):
+        return None
+    body = text.find("\n") + 1
+    head = text[: body - 1].split(" ")
+    if head[0] != tag or len(head) != values + 1:
+        return None
+    if not all(tok.isascii() and tok.isdigit() for tok in head[1:]):
+        return None
+    if body < len(text) and _misfit(shape).search(text, body, len(text) - 1):
+        return None
+    return list(map(int, head[1:])), text.split()[values + 1 :]
+
+
+def _opt_edge_ids(tokens: list[str]) -> list[int | None]:
+    return [None if tok == "-" else int(tok) for tok in tokens]
+
+
+def _in_bulk_or_by_line(in_bulk, by_line, *args):
+    """``in_bulk(*args)``, or ``by_line(*args)`` where the bulk reader gives None."""
+    try:
+        parsed = in_bulk(*args)
+    except ValueError:  # int() refused a number past the digit limit
+        parsed = None
+    return by_line(*args) if parsed is None else parsed
+
+
+_EDGE_LINES = {2: "[0-9]+ [0-9]+", 3: "[0-9]+ [0-9]+ [0-9]+"}
+_TREE_LINE = "(?:-|[0-9]+) [0-9]+"
+_SP_LINE = "(?:INF|[0-9]+) (?:INF|[0-9]+) (?:-|[0-9]+)"
+
+
+def _graph_in_bulk(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
+    first = text.find("\n") + 1
+    arity = text.count(" ", first, text.find("\n", first)) + 1
+    if arity not in _EDGE_LINES:
+        return None
+    bulk = _bulk_tokens(text, "graph", 2, _EDGE_LINES[arity])
+    if bulk is None:
+        return None
+    (n, m), tokens = bulk
+    if len(tokens) != arity * m:
+        return None
+    ints = list(map(int, tokens))
+    src, trg = ints[0::arity], ints[1::arity]
+    # arity > 1 means a non-empty first edge line, so m >= 1 here.
+    if max(max(src), max(trg)) >= n:
+        return None
+    return Graph(n, zip(src, trg)), tuple(ints[2::3]) if arity == 3 else None
+
+
+def _tree_in_bulk(text: str, g: Graph) -> SpanningTreeWitness | None:
+    bulk = _bulk_tokens(text, "tree", 1, _TREE_LINE)
+    if bulk is None or len(bulk[1]) != 2 * g.num_verts:
+        return None
+    (root,), tokens = bulk
+    return SpanningTreeWitness(root, _opt_edge_ids(tokens[0::2]), list(map(int, tokens[1::2])))
+
+
+def _sp_in_bulk(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness | None:
+    bulk = _bulk_tokens(text, "sp", 1, _SP_LINE)
+    if bulk is None or len(bulk[1]) != 3 * g.num_verts:
+        return None
+    (source,), tokens = bulk
+    dist, num = tokens[0::3], tokens[1::3]
+    # ExtNat is frozen, so equal tokens can share one value.
+    shared = {tok: INFINITY if tok == "INF" else ExtNat(int(tok)) for tok in {*dist, *num}}
+    return SpWitness(
+        source,
+        map(shared.__getitem__, dist),
+        map(shared.__getitem__, num),
+        _opt_edge_ids(tokens[2::3]),
+        cost,
+    )
+
+
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     """Parse a graph file; returns the graph and its costs, if present."""
+    return _in_bulk_or_by_line(_graph_in_bulk, _graph_by_line, text)
+
+
+def _graph_by_line(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     rows = _rows(text)
     n, m = _tag_row(rows, "graph", 2)
     body = _body(rows, m, "edge")
@@ -116,7 +256,8 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
         src, trg = _nat(toks[0], lineno), _nat(toks[1], lineno)
         if src >= n or trg >= n:
             raise WellformednessError(
-                "wellformed", f"line {lineno}: endpoint out of range for {n} vertices"
+                "wellformed",
+                f"line {lineno}: endpoint out of range for {_decimal(n)} vertices",
             )
         edges.append((src, trg))
         if arity == 3:
@@ -126,6 +267,10 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
 
 def parse_connectivity_witness(text: str, g: Graph) -> ConnectivityWitness:
     """Parse a tree or cut witness file (the tag line says which)."""
+    return _in_bulk_or_by_line(_tree_in_bulk, _connectivity_by_line, text, g)
+
+
+def _connectivity_by_line(text: str, g: Graph) -> ConnectivityWitness:
     rows = _rows(text)
     if rows and rows[0][1] and rows[0][1][0] == "cut":
         (k,) = _tag_row(rows, "cut", 1)
@@ -153,6 +298,10 @@ def parse_connectivity_witness(text: str, g: Graph) -> ConnectivityWitness:
 
 def parse_sp_witness(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
     """Parse a shortest-path witness; costs come from the graph file."""
+    return _in_bulk_or_by_line(_sp_in_bulk, _sp_by_line, text, g, cost)
+
+
+def _sp_by_line(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
     rows = _rows(text)
     (source,) = _tag_row(rows, "sp", 1)
     body = _body(rows, g.num_verts, "vertex")
@@ -209,7 +358,7 @@ def serialize_graph(g: Graph, cost: tuple[int, ...] | None = None) -> str:
     lines = [f"graph {g.num_verts} {g.num_edges}"]
     for i, e in enumerate(g.edges):
         lines.append(
-            f"{e.src} {e.trg}" if cost is None else f"{e.src} {e.trg} {cost[i]}"
+            f"{e.src} {e.trg}" if cost is None else f"{e.src} {e.trg} {_decimal(cost[i])}"
         )
     return "\n".join(lines) + "\n"
 
@@ -227,7 +376,7 @@ def serialize_connectivity_witness(w: ConnectivityWitness) -> str:
 def serialize_sp_witness(w: SpWitness) -> str:
     lines = [f"sp {w.source}"]
     for d, k, e in zip(w.dist, w.num, w.parent_edge):
-        lines.append(f"{d} {k} {'-' if e is None else e}")
+        lines.append(f"{_ext_decimal(d)} {_ext_decimal(k)} {'-' if e is None else e}")
     return "\n".join(lines) + "\n"
 
 
@@ -241,4 +390,4 @@ def serialize_matching_witness(w: MatchingWitness) -> str:
 
 
 def serialize_gcd(t: GcdTriple) -> str:
-    return f"gcd {t.a} {t.b} {t.g} {t.s} {t.t}\n"
+    return "gcd " + " ".join(map(_decimal, (t.a, t.b, t.g, t.s, t.t))) + "\n"

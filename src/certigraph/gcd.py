@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .verdict import ACCEPT, PreconditionError, Verdict, reject
+from .verdict import ACCEPT, PreconditionError, Verdict, reject, shown
 
 
 @dataclass(frozen=True)
@@ -43,31 +43,17 @@ def check_gcd(t: GcdTriple) -> Verdict:
     """
     require_gcd_inputs(t.a, t.b)
     if t.g < 0:
-        return reject("g_nonneg", f"claimed gcd {_show(t.g)} is negative")
+        return reject("g_nonneg", f"claimed gcd {shown(t.g)} is negative")
     if not _divides(t.g, t.a):
-        return reject("divides_a", f"{_show(t.g)} does not divide {_show(t.a)}")
+        return reject("divides_a", f"{shown(t.g)} does not divide {shown(t.a)}")
     if not _divides(t.g, t.b):
-        return reject("divides_b", f"{_show(t.g)} does not divide {_show(t.b)}")
+        return reject("divides_b", f"{shown(t.g)} does not divide {shown(t.b)}")
     if t.g != t.s * t.a + t.t * t.b:
         return reject(
             "combination",
-            f"{_show(t.g)} != {_show(t.s)}*{_show(t.a)} + {_show(t.t)}*{_show(t.b)}",
+            f"{shown(t.g)} != {shown(t.s)}*{shown(t.a)} + {shown(t.t)}*{shown(t.b)}",
         )
     return ACCEPT
-
-
-_SHOWN_BELOW = 10**30
-
-
-def _show(x: int) -> str:
-    """Decimal for small numbers, the bit length for large ones.
-
-    Decimal conversion of a large int can exceed the interpreter's digit
-    limit and raise; the bit length needs no conversion at all.
-    """
-    if -_SHOWN_BELOW < x < _SHOWN_BELOW:
-        return str(x)
-    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
 
 
 def _divides(d: int, x: int) -> bool:

@@ -32,7 +32,7 @@ class Graph:
     def __post_init__(self) -> None:
         if self.num_verts < 0:
             raise ValueError(f"num_verts must be nonnegative, got {self.num_verts}")
-        object.__setattr__(self, "edges", tuple(Edge(s, t) for s, t in self.edges))
+        object.__setattr__(self, "edges", tuple(map(Edge._make, self.edges)))
 
     @property
     def num_edges(self) -> int:

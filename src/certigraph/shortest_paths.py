@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .extnat import ExtNat
 from .graph import Graph, require_wellformed
-from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject
+from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject, shown
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class SpWitness:
         object.__setattr__(self, "num", tuple(self.num))
         object.__setattr__(self, "parent_edge", tuple(self.parent_edge))
         object.__setattr__(self, "cost", tuple(self.cost))
-        if any(c < 0 for c in self.cost):
+        if self.cost and min(self.cost) < 0:
             raise ValueError("edge costs must be nonnegative")
 
 
@@ -75,9 +75,13 @@ def check_no_path(g: Graph, w: SpWitness) -> Verdict:
 
 def check_trian(g: Graph, w: SpWitness) -> Verdict:
     """Accept iff every edge satisfies dist[trg] <= dist[src] + cost."""
-    for i, e in enumerate(g.edges):
-        if not w.dist[e.trg] <= w.dist[e.src] + w.cost[i]:
-            return reject("trian", f"edge {i} improves dist[{e.trg}]")
+    dist = [d.value for d in w.dist]  # None is infinity
+    for i, ((src, trg), c) in enumerate(zip(g.edges, w.cost)):
+        d_src = dist[src]
+        if d_src is not None:
+            d_trg = dist[trg]
+            if d_trg is None or d_trg > d_src + c:
+                return reject("trian", f"edge {i} improves dist[{trg}]")
     return ACCEPT
 
 
@@ -87,18 +91,22 @@ def check_just(g: Graph, w: SpWitness) -> Verdict:
     Reached means num[v] is finite. The parent edge must end at v, start
     one depth level up, and account exactly for the claimed distance.
     """
-    for v in range(g.num_verts):
-        if v == w.source or w.num[v].is_infinite:
+    dist = [d.value for d in w.dist]  # None is infinity
+    num = [k.value for k in w.num]
+    edges, cost, m = g.edges, w.cost, g.num_edges
+    for v, (k, e) in enumerate(zip(num, w.parent_edge)):
+        if k is None or v == w.source:
             continue
-        e = w.parent_edge[v]
-        if e is None or not 0 <= e < g.num_edges:
+        if e is None or not 0 <= e < m:
             return reject("just", f"vertex {v}: parent edge missing or out of range")
-        u, trg = g.edges[e]
+        u, trg = edges[e]
         if trg != v:
             return reject("just", f"vertex {v}: parent edge {e} does not end at it")
-        if w.dist[v] != w.dist[u] + w.cost[e]:
+        d_u = dist[u]
+        if dist[v] != (None if d_u is None else d_u + cost[e]):
             return reject("just", f"vertex {v}: dist not justified by parent edge {e}")
-        if w.num[v] != w.num[u] + 1:
+        k_u = num[u]
+        if k_u is None or k != k_u + 1:
             return reject("just", f"vertex {v}: num not one more than its parent's")
     return ACCEPT
 
@@ -123,7 +131,7 @@ def require_sp_inputs(g: Graph, source: int) -> None:
     """Raise :class:`PreconditionError` unless g is wellformed and has the source."""
     require_wellformed(g)
     if not 0 <= source < g.num_verts:
-        raise PreconditionError("source", f"source {source} is not a vertex")
+        raise PreconditionError("source", f"source {shown(source)} is not a vertex")
 
 
 def check_shortest_paths(t: SpTriple) -> Verdict:

@@ -36,6 +36,21 @@ def reject(clause: str, detail: str = "") -> Verdict:
     return Verdict(False, clause, detail)
 
 
+_SHOWN_BELOW = 10**30
+
+
+def shown(x: int) -> str:
+    """Decimal for small numbers, the bit length for large ones.
+
+    Details name numbers from the witness. Decimal conversion of a large
+    int can exceed the interpreter's digit limit and raise; the bit length
+    needs no conversion at all.
+    """
+    if -_SHOWN_BELOW < x < _SHOWN_BELOW:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<{x.bit_length()}-bit integer>"
+
+
 def first_rejection(clauses: Iterable[Callable[..., Verdict]], *args) -> Verdict:
     """The verdict of the first clause that rejects ``args``, else ACCEPT.
 

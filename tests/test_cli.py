@@ -168,3 +168,43 @@ def test_solve_sp_defaults_to_unit_costs(capsys, tmp_path):
 def test_solve_sp_rejects_bad_source(capsys):
     code, out = run(capsys, "solve-sp", str(DATA / "sp_zero_cycle.graph"), "9")
     assert code == 2 and out.startswith("ERROR:")
+
+
+def test_ten_thousand_digit_cost_round_trips(capsys, tmp_path):
+    # Past the interpreter's int/str digit limit, which the CLI leaves alone.
+    cost = "3" + "0" * 9999
+    graph = tmp_path / "huge.graph"
+    graph.write_text(f"graph 3 3\n0 1 {cost}\n1 2 1\n0 2 {cost}2\n")
+    witness = tmp_path / "huge.sp"
+    code, out = run(capsys, "solve-sp", str(graph), "0", "-o", str(witness))
+    assert (code, out) == (0, "")
+    assert witness.read_text() == f"sp 0\n0 0 -\n{cost} 1 0\n{cost[:-1]}1 2 1\n"
+    code, out = run(capsys, "check-sp", str(graph), str(witness))
+    assert (code, out) == (0, "ACCEPT\n")
+    witness.write_text(f"sp 0\n0 0 -\n{cost} 1 0\n{cost[:-1]}2 2 1\n")
+    code, out = run(capsys, "check-sp", str(graph), str(witness))
+    assert (code, out) == (1, "REJECT: trian\n")
+
+
+def test_check_gcd_reads_a_5001_digit_line(capsys, tmp_path):
+    a = "1" + "0" * 5000
+    line = tmp_path / "huge.gcd"
+    line.write_text(f"gcd {a} {a[:-1]}1 1 -1 1\n")  # -a + (a + 1) = 1
+    code, out = run(capsys, "check-gcd", str(line))
+    assert (code, out) == (0, "ACCEPT\n")
+    line.write_text(f"gcd {a} {a[:-1]}1 1 1 -1\n")
+    code, out = run(capsys, "check-gcd", str(line))
+    assert (code, out) == (1, "REJECT: combination\n")
+
+
+def test_5001_digit_root_and_source_are_no_crash(capsys, tmp_path):
+    # Rejection details and error messages must not write such numbers in full.
+    huge = "9" * 5001
+    tree = tmp_path / "huge.tree"
+    tree.write_text(f"tree {huge}\n" + "- 0\n" * 5)
+    code, out = run(capsys, "check-connected", str(DATA / "connected_5v.graph"), str(tree))
+    assert (code, out) == (1, "REJECT: r\n")
+    sp = tmp_path / "huge.sp"
+    sp.write_text(f"sp {huge}\n" + "0 0 -\n" * 5)
+    code, out = run(capsys, "check-sp", str(DATA / "sp_zero_cycle.graph"), str(sp))
+    assert (code, out) == (2, "ERROR: source: source <16613-bit integer> is not a vertex\n")

@@ -9,6 +9,7 @@ from certigraph import (
     LengthMismatchError,
     ParseError,
     WellformednessError,
+    formats,
     parse_connectivity_witness,
     parse_gcd_line,
     parse_graph,
@@ -215,3 +216,130 @@ def test_gcd_solver_round_trips_through_text():
     line = serialize_gcd(GcdTriple(240, 46, res.output, s, t))
     assert line == "gcd 240 46 2 -9 47\n"
     assert parse_gcd_line(line) == GcdTriple(240, 46, 2, -9, 47)
+
+
+# The bulk readers of graph, tree and sp files must agree with the per-line
+# reader, which defines the formats, on every input: the same value, or the
+# same exception type and message. The mutations aim at the bulk readers'
+# boundaries: layouts they leave to the per-line reader, tokens that int()
+# reads but the formats refuse, counts and ranges they must check.
+_ODD_TOKENS = ("١", "+1", "1_0", "INF", "-", "007", "9" * 5000, "1" + "0" * 4999)
+
+
+def _mutants(text: str, rng: random.Random) -> list[str]:
+    lines = text.split("\n")[:-1]
+
+    def edit(change, first: int = 1) -> str:
+        i = rng.randrange(min(first, len(lines) - 1), len(lines))
+        return "\n".join(lines[:i] + [change(lines[i])] + lines[i + 1 :]) + "\n"
+
+    def token(tok: str, first: int = 1) -> str:
+        def put(line: str) -> str:
+            toks = line.split(" ")
+            toks[rng.randrange(len(toks))] = tok
+            return " ".join(toks)
+
+        return edit(put, first)
+
+    out = [
+        text,
+        text.replace("\n", "\r\n"),
+        text[:-1],
+        text + "\n \n",
+        text.replace("\n", "\x0c\n", 1),
+        edit(lambda line: line.replace(" ", "\t", 1), 0),
+        edit(lambda line: line + "  ", 0),
+        edit(lambda line: "\n" + line),
+        edit(lambda line: line + " 0"),
+        edit(lambda line: line + "\x0b"),
+    ]
+    out += [token(tok) for tok in _ODD_TOKENS]
+    out.append(token(rng.choice(_ODD_TOKENS), 0))
+    # Endpoints, ids and counts in and out of range.
+    out += [token(tok) for tok in ("4", "8", "12", str(len(lines)), str(10**12))]
+    return out
+
+
+def _outcome(parse, *args):
+    try:
+        return "value", parse(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _format_cases(rng: random.Random):
+    """(format, serialized text, per-line reader or None, public reader, context) tuples."""
+    for _ in range(12):
+        g = random_multigraph(rng, rng.randint(1, 9), 14)
+        gd, cost = random_digraph(rng, rng.randint(1, 9), 14, 30)
+        gl = random_loopless_graph(rng, rng.randint(1, 9), 12)
+        conn = solve_connectivity(g).witness
+        yield "graph2", serialize_graph(g), formats._graph_by_line, parse_graph, ()
+        yield "graph3", serialize_graph(gd, cost), formats._graph_by_line, parse_graph, ()
+        yield (
+            "cut" if isinstance(conn, CutWitness) else "tree",
+            serialize_connectivity_witness(conn),
+            formats._connectivity_by_line,
+            parse_connectivity_witness,
+            (g,),
+        )
+        sp = solve_shortest_paths(gd, cost, rng.randrange(gd.num_verts)).witness
+        yield "sp", serialize_sp_witness(sp), formats._sp_by_line, parse_sp_witness, (gd, cost)
+        mw = solve_max_matching(gl).witness
+        # Matching files have only the per-line reader: nothing to compare.
+        yield "matching", serialize_matching_witness(mw), None, parse_matching_witness, (gl,)
+
+
+def test_bulk_readers_agree_with_the_per_line_reader():
+    rng = random.Random(404)
+    seen = set()
+    for kind, text, by_line, parse, ctx in _format_cases(rng):
+        for mutant in _mutants(text, rng):
+            got = _outcome(parse, mutant, *ctx)
+            if by_line is not None:
+                assert got == _outcome(by_line, mutant, *ctx), (kind, mutant[:200])
+            # Totality: a value or a format error, never a stray exception.
+            if got[0] != "value":
+                assert issubclass(got[0], (ParseError, WellformednessError)), (kind, got)
+            seen.add(kind)
+    assert seen == {"graph2", "graph3", "tree", "cut", "sp", "matching"}
+
+
+def test_serializer_output_takes_the_bulk_readers(monkeypatch):
+    # Large files in the serializers' own layout must never need the
+    # per-line reader; a change that silently falls back fails here.
+    rng = random.Random(5000)
+    n = 5000
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)]
+    edges += [(v, v + 1) for v in range(n - 1)]
+    cost = tuple(rng.choice((0, rng.randrange(10**6))) for _ in edges)
+    g = Graph(n, edges)
+    tree = solve_connectivity(g).witness
+    gd = Graph(n + 3, edges)  # three vertices no edge reaches: INF and '-'
+    sp = solve_shortest_paths(gd, cost, 0).witness
+    texts = (serialize_graph(g), serialize_graph(g, cost), serialize_graph(gd, cost))
+    tree_text, sp_text = serialize_connectivity_witness(tree), serialize_sp_witness(sp)
+
+    def refuse(*args):
+        raise AssertionError("per-line reader called on serializer output")
+
+    for name in ("_graph_by_line", "_connectivity_by_line", "_sp_by_line"):
+        monkeypatch.setattr(formats, name, refuse)
+    assert parse_graph(texts[0]) == (g, None)
+    assert parse_graph(texts[1]) == (g, cost)
+    assert parse_graph(texts[2]) == (gd, cost)
+    assert parse_connectivity_witness(tree_text, g) == tree
+    assert parse_sp_witness(sp_text, gd, cost) == sp
+    assert "INF INF -" in sp_text
+
+
+def test_numbers_past_the_interpreter_digit_limit_round_trip():
+    huge = 7 * 10**9999 + 3  # 10^4 digits
+    g = Graph(2, [(0, 1), (1, 1)])
+    text = serialize_graph(g, (huge, 0))
+    assert text.split("\n")[1] == "0 1 7" + "0" * 9998 + "3"
+    assert parse_graph(text) == (g, (huge, 0))
+    sp = solve_shortest_paths(g, (huge, 0), 0).witness
+    assert parse_sp_witness(serialize_sp_witness(sp), g, (huge, 0)) == sp
+    t = GcdTriple(10**5000, 10**5000 + 1, 1, -huge, huge)
+    assert parse_gcd_line(serialize_gcd(t)) == t
