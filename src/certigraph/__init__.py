@@ -7,145 +7,79 @@ Accepting a checker run means the answer is correct regardless of how the
 solver computed it.
 """
 
-from .connectivity import (
-    ConnectivityTriple,
-    ConnectivityWitness,
-    CutWitness,
-    SpanningTreeWitness,
-    check_connectivity,
-    check_cut,
-    check_parent_num,
-    check_r,
-)
-from .extnat import INFINITY, ExtNat
-from .formats import (
-    LengthMismatchError,
-    ParseError,
-    WellformednessError,
-    parse_connectivity_witness,
-    parse_gcd_line,
-    parse_graph,
-    parse_matching_witness,
-    parse_sp_witness,
-    serialize_connectivity_witness,
-    serialize_gcd,
-    serialize_graph,
-    serialize_matching_witness,
-    serialize_sp_witness,
-)
-from .gcd import GcdTriple, check_gcd
-from .graph import (
-    Edge,
-    Graph,
-    has_no_duplicate_edges,
-    has_no_self_loops,
-    wellformed,
-)
-from .matching import (
-    MatchingTriple,
-    MatchingWitness,
-    check_cardinality,
-    check_matching,
-    check_max_matching,
-    check_osc,
-    check_subset,
-    weight,
-)
-from .shortest_paths import (
-    SpTriple,
-    SpWitness,
-    check_just,
-    check_no_path,
-    check_shortest_paths,
-    check_start_val,
-    check_trian,
-)
-from .solvers import (
-    SolverResult,
-    solve_connectivity,
-    solve_gcd,
-    solve_max_matching,
-    solve_shortest_paths,
-)
-from .verdict import ACCEPT, PreconditionError, Verdict, reject
+import importlib
 
-__all__ = [
-    "ACCEPT",
-    "ConnectivityTriple",
-    "ConnectivityWitness",
-    "CutWitness",
-    "Edge",
-    "ExtNat",
-    "GcdTriple",
-    "Graph",
-    "INFINITY",
-    "InstanceTooLargeError",
-    "LengthMismatchError",
-    "MatchingTriple",
-    "MatchingWitness",
-    "ParseError",
-    "PreconditionError",
-    "SolverResult",
-    "SpTriple",
-    "SpWitness",
-    "SpanningTreeWitness",
-    "Verdict",
-    "WellformednessError",
-    "check_cardinality",
-    "check_connectivity",
-    "check_cut",
-    "check_gcd",
-    "check_just",
-    "check_matching",
-    "check_max_matching",
-    "check_no_path",
-    "check_osc",
-    "check_parent_num",
-    "check_r",
-    "check_shortest_paths",
-    "check_start_val",
-    "check_subset",
-    "check_trian",
-    "eval_witness_predicate",
-    "has_no_duplicate_edges",
-    "has_no_self_loops",
-    "oracle_connected",
-    "oracle_max_matching_size",
-    "oracle_mu",
-    "parse_connectivity_witness",
-    "parse_gcd_line",
-    "parse_graph",
-    "parse_matching_witness",
-    "parse_sp_witness",
-    "reject",
-    "serialize_connectivity_witness",
-    "serialize_gcd",
-    "serialize_graph",
-    "serialize_matching_witness",
-    "serialize_sp_witness",
-    "solve_connectivity",
-    "solve_gcd",
-    "solve_max_matching",
-    "solve_shortest_paths",
-    "wellformed",
-    "weight",
-]
+# Each exported name and the submodule that defines it. A name's module is
+# imported on first access, so ``import certigraph`` loads no submodule and
+# each CLI command loads only the checker or solver it runs.
+_EXPORTS = {
+    "ACCEPT": "verdict",
+    "ConnectivityTriple": "connectivity",
+    "ConnectivityWitness": "connectivity",
+    "CutWitness": "connectivity",
+    "Edge": "graph",
+    "ExtNat": "extnat",
+    "GcdTriple": "gcd",
+    "Graph": "graph",
+    "INFINITY": "extnat",
+    "InstanceTooLargeError": "oracles",
+    "LengthMismatchError": "formats",
+    "MatchingTriple": "matching",
+    "MatchingWitness": "matching",
+    "ParseError": "formats",
+    "PreconditionError": "verdict",
+    "SolverResult": "solvers",
+    "SpTriple": "shortest_paths",
+    "SpWitness": "shortest_paths",
+    "SpanningTreeWitness": "connectivity",
+    "Verdict": "verdict",
+    "WellformednessError": "formats",
+    "check_cardinality": "matching",
+    "check_connectivity": "connectivity",
+    "check_cut": "connectivity",
+    "check_gcd": "gcd",
+    "check_just": "shortest_paths",
+    "check_matching": "matching",
+    "check_max_matching": "matching",
+    "check_no_path": "shortest_paths",
+    "check_osc": "matching",
+    "check_parent_num": "connectivity",
+    "check_r": "connectivity",
+    "check_shortest_paths": "shortest_paths",
+    "check_start_val": "shortest_paths",
+    "check_subset": "matching",
+    "check_trian": "shortest_paths",
+    "eval_witness_predicate": "oracles",
+    "has_no_duplicate_edges": "graph",
+    "has_no_self_loops": "graph",
+    "oracle_connected": "oracles",
+    "oracle_max_matching_size": "oracles",
+    "oracle_mu": "oracles",
+    "parse_connectivity_witness": "formats",
+    "parse_gcd_line": "formats",
+    "parse_graph": "formats",
+    "parse_matching_witness": "formats",
+    "parse_sp_witness": "formats",
+    "reject": "verdict",
+    "serialize_connectivity_witness": "formats",
+    "serialize_gcd": "formats",
+    "serialize_graph": "formats",
+    "serialize_matching_witness": "formats",
+    "serialize_sp_witness": "formats",
+    "solve_connectivity": "solvers",
+    "solve_gcd": "solvers",
+    "solve_max_matching": "solvers",
+    "solve_shortest_paths": "solvers",
+    "wellformed": "graph",
+    "weight": "matching",
+}
 
-
-_ORACLES = (
-    "InstanceTooLargeError",
-    "eval_witness_predicate",
-    "oracle_connected",
-    "oracle_max_matching_size",
-    "oracle_mu",
-)
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    # The brute-force oracles are test machinery that no solver, checker
-    # or CLI command uses, so they load on first access, not with the CLI.
-    if name in _ORACLES:
-        from . import oracles
-
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

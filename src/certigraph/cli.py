@@ -5,7 +5,11 @@ file), print exactly one line, and exit 0 on ACCEPT, 1 on REJECT, and 2 on
 any parse or precondition error. ``solve-*`` commands read an input, write
 a witness file in the same formats, and exit 0, or 2 on bad input. The
 stdout lines ``ACCEPT`` / ``REJECT: <clause>`` / ``ERROR: <reason>`` are a
-stable interface.
+stable interface. Any other exception is an internal error: nothing on
+stdout, one line on stderr, exit 3.
+
+Each command imports its checker or solver when it runs, so a process
+loads the parser and the one problem module it needs and nothing else.
 """
 
 from __future__ import annotations
@@ -15,16 +19,6 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .connectivity import ConnectivityTriple, SpanningTreeWitness, check_connectivity
-from .gcd import GcdTriple, check_gcd
-from .matching import MatchingTriple, check_max_matching
-from .shortest_paths import SpTriple, check_shortest_paths
-from .solvers import (
-    solve_connectivity,
-    solve_gcd,
-    solve_max_matching,
-    solve_shortest_paths,
-)
 from .verdict import PreconditionError, Verdict
 
 
@@ -43,6 +37,9 @@ def cli_main(argv: list[str]) -> int:
     except (formats.ParseError, PreconditionError, OSError) as exc:
         print(f"ERROR: {exc}")
         return 2
+    except Exception as exc:  # no verdict, so never exit 1 ("a clause failed")
+        print(f"certigraph: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,6 +120,8 @@ def _read(path: str) -> str:
 
 
 def _check_connected(args: argparse.Namespace) -> int:
+    from .connectivity import ConnectivityTriple, SpanningTreeWitness, check_connectivity
+
     g, _ = formats.parse_graph(_read(args.graph_file))
     w = formats.parse_connectivity_witness(_read(args.witness_file), g)
     triple = ConnectivityTriple(g, isinstance(w, SpanningTreeWitness), w)
@@ -130,6 +129,8 @@ def _check_connected(args: argparse.Namespace) -> int:
 
 
 def _check_sp(args: argparse.Namespace) -> int:
+    from .shortest_paths import SpTriple, check_shortest_paths
+
     g, cost = formats.parse_graph(_read(args.graph_file))
     if cost is None:
         # A zero-edge graph has the (empty) cost vector whether or not a
@@ -144,23 +145,31 @@ def _check_sp(args: argparse.Namespace) -> int:
 
 
 def _check_matching(args: argparse.Namespace) -> int:
+    from .matching import MatchingTriple, check_max_matching
+
     g, _ = formats.parse_graph(_read(args.graph_file))
     w = formats.parse_matching_witness(_read(args.witness_file), g)
     return _verdict_to_exit(check_max_matching(MatchingTriple(g, w)))
 
 
 def _check_gcd(args: argparse.Namespace) -> int:
+    from .gcd import check_gcd
+
     triple = formats.parse_gcd_line(_read(args.gcd_file))
     return _verdict_to_exit(check_gcd(triple))
 
 
 def _solve_connected(args: argparse.Namespace) -> int:
+    from .solvers import solve_connectivity
+
     g, _ = formats.parse_graph(_read(args.graph_file))
     result = solve_connectivity(g)
     return _emit(formats.serialize_connectivity_witness(result.witness), args)
 
 
 def _solve_sp(args: argparse.Namespace) -> int:
+    from .solvers import solve_shortest_paths
+
     g, cost = formats.parse_graph(_read(args.graph_file))
     if cost is None:
         cost = (1,) * g.num_edges
@@ -169,12 +178,17 @@ def _solve_sp(args: argparse.Namespace) -> int:
 
 
 def _solve_matching(args: argparse.Namespace) -> int:
+    from .solvers import solve_max_matching
+
     g, _ = formats.parse_graph(_read(args.graph_file))
     result = solve_max_matching(g)
     return _emit(formats.serialize_matching_witness(result.witness), args)
 
 
 def _solve_gcd(args: argparse.Namespace) -> int:
+    from .gcd import GcdTriple
+    from .solvers import solve_gcd
+
     result = solve_gcd(args.a, args.b)
     s, t = result.witness
     return _emit(formats.serialize_gcd(GcdTriple(args.a, args.b, result.output, s, t)), args)

@@ -31,20 +31,26 @@ expression scan for a line of the wrong shape, then one ``split`` and
 bad count, an out-of-range endpoint or a number past the digit limit,
 goes to the per-line reader, which defines what is accepted and is the
 only source of error messages.
+
+Each reader imports the classes it builds when it runs, so reading a gcd
+line loads no graph module and reading a graph loads no witness checker.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from typing import TYPE_CHECKING
 
-from .connectivity import ConnectivityWitness, CutWitness, SpanningTreeWitness
-from .extnat import INFINITY, ExtNat
-from .gcd import GcdTriple
-from .graph import Graph
-from .matching import MatchingWitness
-from .shortest_paths import SpWitness
 from .verdict import PreconditionError
+
+if TYPE_CHECKING:
+    from .connectivity import ConnectivityWitness, SpanningTreeWitness
+    from .extnat import ExtNat
+    from .gcd import GcdTriple
+    from .graph import Graph
+    from .matching import MatchingWitness
+    from .shortest_paths import SpWitness
 
 
 class ParseError(ValueError):
@@ -141,10 +147,6 @@ def _opt_edge_id(token: str, lineno: int) -> int | None:
     return None if token == "-" else _nat(token, lineno)
 
 
-def _ext_nat(token: str, lineno: int) -> ExtNat:
-    return INFINITY if token == "INF" else ExtNat(_nat(token, lineno))
-
-
 @functools.cache
 def _misfit(shape: str) -> re.Pattern[str]:
     """A search for the start of a line that is not exactly ``shape``."""
@@ -191,6 +193,8 @@ _SP_LINE = "(?:INF|[0-9]+) (?:INF|[0-9]+) (?:-|[0-9]+)"
 
 
 def _graph_in_bulk(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
+    from .graph import Graph
+
     first = text.find("\n") + 1
     arity = text.count(" ", first, text.find("\n", first)) + 1
     if arity not in _EDGE_LINES:
@@ -210,6 +214,8 @@ def _graph_in_bulk(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
 
 
 def _tree_in_bulk(text: str, g: Graph) -> SpanningTreeWitness | None:
+    from .connectivity import SpanningTreeWitness
+
     bulk = _bulk_tokens(text, "tree", 1, _TREE_LINE)
     if bulk is None or len(bulk[1]) != 2 * g.num_verts:
         return None
@@ -218,6 +224,9 @@ def _tree_in_bulk(text: str, g: Graph) -> SpanningTreeWitness | None:
 
 
 def _sp_in_bulk(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness | None:
+    from .extnat import INFINITY, ExtNat
+    from .shortest_paths import SpWitness
+
     bulk = _bulk_tokens(text, "sp", 1, _SP_LINE)
     if bulk is None or len(bulk[1]) != 3 * g.num_verts:
         return None
@@ -240,6 +249,8 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
 
 
 def _graph_by_line(text: str) -> tuple[Graph, tuple[int, ...] | None]:
+    from .graph import Graph
+
     rows = _rows(text)
     n, m = _tag_row(rows, "graph", 2)
     body = _body(rows, m, "edge")
@@ -271,6 +282,8 @@ def parse_connectivity_witness(text: str, g: Graph) -> ConnectivityWitness:
 
 
 def _connectivity_by_line(text: str, g: Graph) -> ConnectivityWitness:
+    from .connectivity import CutWitness, SpanningTreeWitness
+
     rows = _rows(text)
     if rows and rows[0][1] and rows[0][1][0] == "cut":
         (k,) = _tag_row(rows, "cut", 1)
@@ -302,6 +315,12 @@ def parse_sp_witness(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
 
 
 def _sp_by_line(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
+    from .extnat import INFINITY, ExtNat
+    from .shortest_paths import SpWitness
+
+    def ext_nat(token: str, lineno: int) -> ExtNat:
+        return INFINITY if token == "INF" else ExtNat(_nat(token, lineno))
+
     rows = _rows(text)
     (source,) = _tag_row(rows, "sp", 1)
     body = _body(rows, g.num_verts, "vertex")
@@ -311,14 +330,17 @@ def _sp_by_line(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
     for lineno, toks in body:
         if len(toks) != 3:
             raise ParseError(f"line {lineno}: expected '<dist|INF> <num|INF> <edge-id|->'")
-        dist.append(_ext_nat(toks[0], lineno))
-        num.append(_ext_nat(toks[1], lineno))
+        dist.append(ext_nat(toks[0], lineno))
+        num.append(ext_nat(toks[1], lineno))
         parent_edge.append(_opt_edge_id(toks[2], lineno))
     return SpWitness(source, dist, num, parent_edge, cost)
 
 
 def parse_matching_witness(text: str, g: Graph) -> MatchingWitness:
     """Parse a matching witness: M's edges, the edge map, and the labels."""
+    from .graph import Graph
+    from .matching import MatchingWitness
+
     rows = _rows(text)
     (m_edges,) = _tag_row(rows, "matching", 1)
     label_rows = 1 if g.num_verts > 0 else 0
@@ -343,6 +365,8 @@ def parse_matching_witness(text: str, g: Graph) -> MatchingWitness:
 
 def parse_gcd_line(text: str) -> GcdTriple:
     """Parse a one-line gcd instance ``gcd a b g s t``."""
+    from .gcd import GcdTriple
+
     rows = _rows(text)
     if len(rows) != 1:
         raise ParseError("expected a single 'gcd a b g s t' line")
@@ -364,6 +388,8 @@ def serialize_graph(g: Graph, cost: tuple[int, ...] | None = None) -> str:
 
 
 def serialize_connectivity_witness(w: ConnectivityWitness) -> str:
+    from .connectivity import CutWitness
+
     if isinstance(w, CutWitness):
         members = sorted(w.cut_set)
         return "\n".join([f"cut {len(members)}"] + [str(v) for v in members]) + "\n"

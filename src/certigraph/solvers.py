@@ -5,23 +5,26 @@ checker module can verify independently; tests never trust a solver run
 that the corresponding checker has not accepted. Tie-breaking is
 deterministic everywhere (lowest vertex id, then lowest edge id), so
 solver output is reproducible byte for byte.
+
+Each solver imports its problem's module (and the blossom search, for
+matching) when it runs, so a process that solves one problem loads no
+other problem's code.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Generic, Sequence, TypeVar
+from typing import TYPE_CHECKING, Generic, Sequence, TypeVar
 
-from . import blossom
-from .connectivity import ConnectivityWitness, CutWitness, SpanningTreeWitness
-from .extnat import INFINITY, ExtNat
-from .gcd import require_gcd_inputs
-from .graph import Graph, require_wellformed
-from .matching import MatchingWitness, require_matching_inputs
-from .shortest_paths import SpWitness, require_sp_inputs
 from .verdict import PreconditionError
+
+if TYPE_CHECKING:
+    from .connectivity import ConnectivityWitness
+    from .extnat import ExtNat
+    from .graph import Graph
+    from .matching import MatchingWitness
+    from .shortest_paths import SpWitness
 
 Y = TypeVar("Y")
 W = TypeVar("W")
@@ -42,6 +45,9 @@ def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     are the BFS levels; disconnected graphs yield the cut consisting of
     everything reachable from 0.
     """
+    from .connectivity import CutWitness, SpanningTreeWitness
+    from .graph import require_wellformed
+
     require_wellformed(g)
     n = g.num_verts
     if n == 0:
@@ -81,6 +87,11 @@ def solve_shortest_paths(
     improvement, so the parent pointers always form a tree, and the depth
     numbers are recomputed from that tree after the run.
     """
+    import heapq
+
+    from .extnat import ExtNat
+    from .shortest_paths import SpWitness, require_sp_inputs
+
     require_sp_inputs(g, source)
     n = g.num_verts
     if len(cost) != g.num_edges:
@@ -124,6 +135,8 @@ def _tree_depths(
     parent_edge: list[int | None],
     source: int,
 ) -> tuple[ExtNat, ...]:
+    from .extnat import INFINITY, ExtNat
+
     depth: list[int | None] = [None] * g.num_verts
     depth[source] = 0
     for v in range(g.num_verts):
@@ -147,6 +160,10 @@ def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:
     edge id per matched pair), so the witness's edge map is trivially
     valid; the cover labels certify maximality.
     """
+    from . import blossom
+    from .graph import Graph
+    from .matching import MatchingWitness, require_matching_inputs
+
     # The empty matching meets every condition on M, so only G's are tested.
     require_matching_inputs(g, Graph(g.num_verts, ()))
     edge_ids, labels = blossom.maximum_matching_with_cover(g)
@@ -157,6 +174,8 @@ def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:
 
 def solve_gcd(a: int, b: int) -> SolverResult[int, tuple[int, int]]:
     """Extended Euclid: gcd plus Bezout coefficients, all exact."""
+    from .gcd import require_gcd_inputs
+
     require_gcd_inputs(a, b)
     old_r, r = a, b
     old_s, s = 1, 0

@@ -20,7 +20,8 @@ from certigraph import (
     SpanningTreeWitness,
 )
 
-DATA = Path(__file__).parent / "data"
+DATA = Path(__file__).resolve().parent / "data"
+SRC = DATA.parent.parent / "src"
 
 _CRITERION_RESULTS: dict[int, tuple[str, bool]] = {}
 

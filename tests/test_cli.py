@@ -1,10 +1,13 @@
+import resource
 import subprocess
 import sys
-from pathlib import Path
 
+import pytest
+
+from certigraph import solvers
 from certigraph.cli import cli_main
 
-from conftest import DATA
+from conftest import DATA, SRC
 
 
 def run(capsys, *argv):
@@ -90,11 +93,10 @@ def test_undecodable_files_exit_2(capsys, tmp_path):
 
 
 def test_python_m_runs_the_cli(capsys):
-    gcd = str((DATA / "gcd_example.gcd").resolve())
-    src = Path(__file__).resolve().parent.parent / "src"
+    gcd = str(DATA / "gcd_example.gcd")
     proc = subprocess.run(
         [sys.executable, "-m", "certigraph", "check-gcd", gcd],
-        cwd=src, capture_output=True, text=True, timeout=60,
+        cwd=SRC, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == run(capsys, "check-gcd", gcd) == (0, "ACCEPT\n")
 
@@ -208,3 +210,88 @@ def test_5001_digit_root_and_source_are_no_crash(capsys, tmp_path):
     sp.write_text(f"sp {huge}\n" + "0 0 -\n" * 5)
     code, out = run(capsys, "check-sp", str(DATA / "sp_zero_cycle.graph"), str(sp))
     assert (code, out) == (2, "ERROR: source: source <16613-bit integer> is not a vertex\n")
+
+
+def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):
+    def out_of_memory(g):
+        raise MemoryError("no room for the vertices")
+
+    monkeypatch.setattr(solvers, "solve_connectivity", out_of_memory)
+    code = cli_main(["solve-connected", str(DATA / "connected_5v.graph")])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "certigraph: internal error: MemoryError: no room for the vertices\n"
+
+
+def test_vertex_count_past_memory_exits_3(tmp_path):
+    graph = tmp_path / "huge.graph"
+    graph.write_text("graph 100000000000000000000 0\n")
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "certigraph", "solve-connected", str(graph)],
+        cwd=SRC, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("certigraph: internal error: MemoryError")
+    assert proc.stderr.count("\n") == 1
+
+
+PROBLEM_MODULES = {"connectivity", "shortest_paths", "matching", "gcd"}
+NEVER_FOR_CHECKS = {"solvers", "blossom", "oracles"}
+LOADED = """
+import contextlib, io, sys
+from certigraph.cli import cli_main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli_main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(m for m in sys.modules if m.startswith("certigraph.")))
+"""
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The certigraph submodules a fresh interpreter holds after ``argv``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv],
+        cwd=SRC, capture_output=True, text=True, timeout=60,
+    )
+    code, *modules = proc.stdout.split() or ["no output"]
+    assert code == "0", (argv, proc.stderr)  # the command ran to the end
+    return {name.removeprefix("certigraph.") for name in modules}
+
+
+def test_importing_the_cli_loads_no_problem_module():
+    assert loaded_modules() & (PROBLEM_MODULES | NEVER_FOR_CHECKS) == set()
+
+
+@pytest.mark.parametrize(
+    "command, problem, files",
+    [
+        ("check-connected", "connectivity", ["connected_5v.graph", "connected_5v.tree"]),
+        ("check-sp", "shortest_paths", ["sp_zero_cycle.graph", "sp_zero_cycle.sp"]),
+        ("check-matching", "matching", ["matching_12v.graph", "matching_12v.matching"]),
+        ("check-gcd", "gcd", ["gcd_example.gcd"]),
+    ],
+)
+def test_check_loads_only_its_own_checker(command, problem, files):
+    loaded = loaded_modules(command, *(str(DATA / f) for f in files))
+    assert loaded & NEVER_FOR_CHECKS == set()
+    assert loaded & PROBLEM_MODULES == {problem}
+
+
+@pytest.mark.parametrize(
+    "command, problem, args",
+    [
+        ("solve-connected", "connectivity", [str(DATA / "connected_5v.graph")]),
+        ("solve-sp", "shortest_paths", [str(DATA / "sp_zero_cycle.graph"), "0"]),
+        ("solve-matching", "matching", [str(DATA / "matching_12v.graph")]),
+        ("solve-gcd", "gcd", ["240", "46"]),
+    ],
+)
+def test_solve_loads_only_its_own_solver(tmp_path, command, problem, args):
+    loaded = loaded_modules(command, *args, "-o", str(tmp_path / "witness"))
+    assert "solvers" in loaded and "oracles" not in loaded
+    assert ("blossom" in loaded) == (command == "solve-matching")
+    assert loaded & PROBLEM_MODULES == {problem}
