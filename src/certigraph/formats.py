@@ -24,13 +24,13 @@ Numbers have no digit limit in either direction: long tokens are read and
 written in pieces, and the interpreter's int/str digit limit is never
 changed.
 
-Graph, tree and sp files in the layout the serializers write (single
-spaces, ``\n`` line ends, no blank line) are read in bulk: one regular
-expression scan for a line of the wrong shape, then one ``split`` and
-``int`` over all tokens. Any other input, and any bulk read that finds a
-bad count, an out-of-range endpoint or a number past the digit limit,
-goes to the per-line reader, which defines what is accepted and is the
-only source of error messages.
+The graph, tree, cut, sp and matching formats are one ``_Layout`` each.
+``_in_bulk`` reads any of them in the layout the serializers write
+(single spaces, ``\n`` line ends, no blank line) with a regular
+expression scan, one ``split`` and C-level slices, and gives None for any
+other file. ``_by_line`` reads every file row by row; it defines what is
+accepted and gives every error message. A row check per kind adds what no
+layout states: graph lines and their endpoints, and no repeated cut vertex.
 
 Each reader imports the classes it builds when it runs, so reading a gcd
 line loads no graph module and reading a graph loads no witness checker.
@@ -38,6 +38,7 @@ line loads no graph module and reading a graph loads no witness checker.
 
 from __future__ import annotations
 
+import collections
 import functools
 import re
 from typing import TYPE_CHECKING
@@ -45,12 +46,16 @@ from typing import TYPE_CHECKING
 from .verdict import PreconditionError
 
 if TYPE_CHECKING:
-    from .connectivity import ConnectivityWitness, SpanningTreeWitness
+    from typing import Callable
+
+    from .connectivity import ConnectivityWitness
     from .extnat import ExtNat
     from .gcd import GcdTriple
     from .graph import Graph
     from .matching import MatchingWitness
     from .shortest_paths import SpWitness
+
+    _Check = Callable[[list[int], int, list[str]], None]  # a row check, see _by_line
 
 
 class ParseError(ValueError):
@@ -123,216 +128,190 @@ def _signed(token: str, lineno: int) -> int:
     return -_digits_value(body) if token.startswith("-") else _digits_value(body)
 
 
-def _tag_row(rows: _Rows, tag: str, values: int) -> list[int]:
-    if not rows:
-        raise ParseError("line 1: empty file")
-    lineno, toks = rows[0]
-    if len(toks) != values + 1 or toks[0] != tag:
-        raise ParseError(
-            f"line {lineno}: expected '{tag}' followed by {values} value(s)"
-        )
-    return [_nat(tok, lineno) for tok in toks[1:]]
+_Layout = collections.namedtuple(
+    "_Layout", "tag values per_vertex columns row_error what labels", defaults=(False,)
+)
+_Layout.__doc__ = """A file kind: a tag line, then one row of ``columns`` per record.
 
+The tag line holds ``values`` numbers, the last of which counts the rows,
+unless there is one row per vertex (``per_vertex``). A column is None for
+numbers, or the one word it also takes: ``-`` reads as None, and ``INF``
+makes the values ExtNat. With ``labels``, a line of n numbers follows the
+rows. ``row_error`` and ``what`` go into error messages.
+"""
+_EDGE_ERROR = "expected 'src trg' or 'src trg cost'"
+_EDGES = {w: _Layout("graph", 2, False, (None,) * w, _EDGE_ERROR, "edge") for w in (2, 3)}
+_TREE = _Layout("tree", 1, True, ("-", None), "expected '<edge-id|-> <num>'", "vertex")
+_CUT = _Layout("cut", 1, False, (None,), "expected one vertex id", "cut vertex")
+_SP = _Layout(
+    "sp", 1, True, ("INF", "INF", "-"), "expected '<dist|INF> <num|INF> <edge-id|->'", "vertex"
+)
+_MATCHING = _Layout(
+    "matching", 1, False, (None, None, None), "expected '<src> <trg> <f>'", "witness", labels=True
+)
 
-def _body(rows: _Rows, expected: int, what: str) -> _Rows:
-    body = rows[1:]
-    if len(body) != expected:
-        raise LengthMismatchError(
-            f"expected {_decimal(expected)} {what} line(s), found {len(body)}"
-        )
-    return body
-
-
-def _opt_edge_id(token: str, lineno: int) -> int | None:
-    return None if token == "-" else _nat(token, lineno)
+_Read = tuple[list[int], list[list], list[int]]  # header values, columns, labels
 
 
 @functools.cache
-def _misfit(shape: str) -> re.Pattern[str]:
-    """A search for the start of a line that is not exactly ``shape``."""
-    return re.compile(rf"^(?!{shape}$)", re.MULTILINE)
+def _misfit(layout: _Layout) -> re.Pattern[str]:
+    """A search for the start of a line that is not one row of ``layout``."""
+    cells = ("[0-9]+" if word is None else f"(?:{word}|[0-9]+)" for word in layout.columns)
+    return re.compile(rf"^(?!{' '.join(cells)}$)", re.MULTILINE)
 
 
-def _bulk_tokens(text: str, tag: str, values: int, shape: str) -> tuple[list[int], list[str]] | None:
-    """The header values and body tokens of a file in the serializers' layout.
+def _column(tokens: list[str], word: str | None) -> list:
+    """The values of a column of well-formed tokens (see ``_Layout``), mostly in C."""
+    if word == "INF":  # ExtNat is frozen and distances repeat: read each distinct token once
+        from .extnat import ExtNat
 
-    None unless the tag line is ``<tag>`` and ``values`` numbers and every
-    body line is ``shape``, all separated by single spaces and ended by
-    ``\n``. Each line is matched on its own, so the regular expression
-    engine's memory does not grow with the file.
+        ext = {tok: ExtNat(None if tok == word else _digits_value(tok)) for tok in {*tokens}}
+        return list(map(ext.__getitem__, tokens))
+    try:
+        if word is None:
+            return list(map(int, tokens))
+        return [None if tok == word else int(tok) for tok in tokens]
+    except ValueError:  # int() refused a number past the digit limit
+        return [None if tok == word else _digits_value(tok) for tok in tokens]
+
+
+def _in_bulk(text: str, layout: _Layout, n: int | None = None) -> _Read | None:
+    """A file in the serializers' layout, read in a few passes in C.
+
+    None unless the tag line, each row and the labels line fit ``layout``
+    with single spaces and ``\n`` line ends. Each line is matched on its
+    own, so the regular expression engine's memory stays small.
     """
     if not text.endswith("\n"):
         return None
-    body = text.find("\n") + 1
-    head = text[: body - 1].split(" ")
-    if head[0] != tag or len(head) != values + 1:
+    start = text.find("\n") + 1
+    end = len(text) - 1  # where the rows end
+    head = text[: start - 1].split(" ")
+    labels: list[str] = []
+    if layout.labels and n:
+        end = text.rfind("\n", 0, end)  # the labels line, or the tag line (no digits)
+        labels = text[end + 1 : -1].split(" ")
+    numbers = head[1:] + labels
+    digits = "".join(numbers)
+    if head[0] != layout.tag or len(head) != layout.values + 1 or len(labels) not in (0, n):
         return None
-    if not all(tok.isascii() and tok.isdigit() for tok in head[1:]):
+    if not (all(numbers) and digits.isascii() and digits.isdigit()):
         return None
-    if body < len(text) and _misfit(shape).search(text, body, len(text) - 1):
+    if start <= end and _misfit(layout).search(text, start, end):
         return None
-    return list(map(int, head[1:])), text.split()[values + 1 :]
-
-
-def _opt_edge_ids(tokens: list[str]) -> list[int | None]:
-    return [None if tok == "-" else int(tok) for tok in tokens]
-
-
-def _in_bulk_or_by_line(in_bulk, by_line, *args):
-    """``in_bulk(*args)``, or ``by_line(*args)`` where the bulk reader gives None."""
-    try:
-        parsed = in_bulk(*args)
-    except ValueError:  # int() refused a number past the digit limit
-        parsed = None
-    return by_line(*args) if parsed is None else parsed
-
-
-_EDGE_LINES = {2: "[0-9]+ [0-9]+", 3: "[0-9]+ [0-9]+ [0-9]+"}
-_TREE_LINE = "(?:-|[0-9]+) [0-9]+"
-_SP_LINE = "(?:INF|[0-9]+) (?:INF|[0-9]+) (?:-|[0-9]+)"
-
-
-def _graph_in_bulk(text: str) -> tuple[Graph, tuple[int, ...] | None] | None:
-    from .graph import Graph
-
-    first = text.find("\n") + 1
-    arity = text.count(" ", first, text.find("\n", first)) + 1
-    if arity not in _EDGE_LINES:
+    tokens = text[start:end].split()
+    width = len(layout.columns)
+    values = _column(head[1:], None)
+    if len(tokens) != width * (n if layout.per_vertex else values[-1]):
         return None
-    bulk = _bulk_tokens(text, "graph", 2, _EDGE_LINES[arity])
-    if bulk is None:
-        return None
-    (n, m), tokens = bulk
-    if len(tokens) != arity * m:
-        return None
-    ints = list(map(int, tokens))
-    src, trg = ints[0::arity], ints[1::arity]
-    # arity > 1 means a non-empty first edge line, so m >= 1 here.
-    if max(max(src), max(trg)) >= n:
-        return None
-    return Graph(n, zip(src, trg)), tuple(ints[2::3]) if arity == 3 else None
+    columns = [_column(tokens[i::width], word) for i, word in enumerate(layout.columns)]
+    return values, columns, _column(labels, None)
 
 
-def _tree_in_bulk(text: str, g: Graph) -> SpanningTreeWitness | None:
-    from .connectivity import SpanningTreeWitness
+def _by_line(
+    text: str, layout: _Layout, n: int | None = None, check: _Check | None = None
+) -> _Read:
+    """Any file of ``layout``, read row by row: raises its first fault.
 
-    bulk = _bulk_tokens(text, "tree", 1, _TREE_LINE)
-    if bulk is None or len(bulk[1]) != 2 * g.num_verts:
-        return None
-    (root,), tokens = bulk
-    return SpanningTreeWitness(root, _opt_edge_ids(tokens[0::2]), list(map(int, tokens[1::2])))
+    ``check(head, lineno, toks)``, where given, checks each row before it
+    is read, in place of the layout's width check; a row narrower than the
+    layout leaves its last columns out.
+    """
+    rows = _rows(text)
+    if not rows:
+        raise ParseError("line 1: empty file")
+    tag = rows[0][1]
+    body = rows[1:]
+    if len(tag) != layout.values + 1 or tag[0] != layout.tag:
+        raise ParseError(
+            f"line 1: expected '{layout.tag}' followed by {layout.values} value(s)"
+        )
+    head = [_nat(tok, 1) for tok in tag[1:]]
+    count = n if layout.per_vertex else head[-1]
+    labels = 1 if layout.labels and n else 0
+    if len(body) != count + labels:
+        raise LengthMismatchError(
+            f"expected {_decimal(count + labels)} {layout.what} line(s), found {len(body)}"
+        )
+    for lineno, toks in body[:count]:
+        if check is not None:
+            check(head, lineno, toks)
+        elif len(toks) != len(layout.columns):
+            raise ParseError(f"line {lineno}: {layout.row_error}")
+        for word, tok in zip(layout.columns, toks):
+            if tok != word and not (tok.isascii() and tok.isdigit()):
+                _nat(tok, lineno)  # which raises the error
+    cells = list(zip(*(toks for _, toks in body[:count]))) or [[] for _ in layout.columns]
+    columns = [_column(list(column), word) for column, word in zip(cells, layout.columns)]
+    if not labels:
+        return head, columns, []
+    lineno, toks = body[count]
+    if len(toks) != n:
+        raise LengthMismatchError(
+            f"line {lineno}: expected {_decimal(n)} labels, found {len(toks)}"
+        )
+    return head, columns, [_nat(tok, lineno) for tok in toks]
 
 
-def _sp_in_bulk(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness | None:
-    from .extnat import INFINITY, ExtNat
-    from .shortest_paths import SpWitness
-
-    bulk = _bulk_tokens(text, "sp", 1, _SP_LINE)
-    if bulk is None or len(bulk[1]) != 3 * g.num_verts:
-        return None
-    (source,), tokens = bulk
-    dist, num = tokens[0::3], tokens[1::3]
-    # ExtNat is frozen, so equal tokens can share one value.
-    shared = {tok: INFINITY if tok == "INF" else ExtNat(int(tok)) for tok in {*dist, *num}}
-    return SpWitness(
-        source,
-        map(shared.__getitem__, dist),
-        map(shared.__getitem__, num),
-        _opt_edge_ids(tokens[2::3]),
-        cost,
-    )
+def _edge_line(widths: set[int], head: list[int], lineno: int, toks: list[str]) -> None:
+    """An edge line's own rules: two or three columns, one width, endpoints below n."""
+    if len(toks) not in (2, 3):
+        raise ParseError(f"line {lineno}: {_EDGE_ERROR}")
+    widths.add(len(toks))
+    if len(widths) > 1:
+        raise ParseError(f"line {lineno}: mixed cost/no-cost edge lines")
+    if max(_nat(toks[0], lineno), _nat(toks[1], lineno)) >= head[0]:
+        raise WellformednessError(
+            "wellformed",
+            f"line {lineno}: endpoint out of range for {_decimal(head[0])} vertices",
+        )
 
 
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     """Parse a graph file; returns the graph and its costs, if present."""
-    return _in_bulk_or_by_line(_graph_in_bulk, _graph_by_line, text)
-
-
-def _graph_by_line(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     from .graph import Graph
 
-    rows = _rows(text)
-    n, m = _tag_row(rows, "graph", 2)
-    body = _body(rows, m, "edge")
-    edges: list[tuple[int, int]] = []
-    costs: list[int] = []
-    arity: int | None = None
-    for lineno, toks in body:
-        if len(toks) not in (2, 3):
-            raise ParseError(f"line {lineno}: expected 'src trg' or 'src trg cost'")
-        if arity is None:
-            arity = len(toks)
-        elif len(toks) != arity:
-            raise ParseError(f"line {lineno}: mixed cost/no-cost edge lines")
-        src, trg = _nat(toks[0], lineno), _nat(toks[1], lineno)
-        if src >= n or trg >= n:
-            raise WellformednessError(
-                "wellformed",
-                f"line {lineno}: endpoint out of range for {_decimal(n)} vertices",
-            )
-        edges.append((src, trg))
-        if arity == 3:
-            costs.append(_nat(toks[2], lineno))
-    return Graph(n, edges), tuple(costs) if arity == 3 else None
+    first = text.find("\n") + 1
+    layout = _EDGES.get(text.count(" ", first, text.find("\n", first)) + 1)
+    read = layout and _in_bulk(text, layout)
+    # _in_bulk does not check endpoints; a file it reads has edges, so max() has values.
+    if not read or max(max(read[1][0]), max(read[1][1])) >= read[0][0]:
+        read = _by_line(text, _EDGES[3], check=functools.partial(_edge_line, set()))
+    (n, _), (src, trg, *cost), _ = read
+    return Graph(n, zip(src, trg)), tuple(cost[0]) if cost and cost[0] else None
+
+
+def _cut_line(seen: set[int], head: list[int], lineno: int, toks: list[str]) -> None:
+    """A cut line's own rules: one vertex, named on no earlier line."""
+    if len(toks) != 1:
+        raise ParseError(f"line {lineno}: {_CUT.row_error}")
+    v = _nat(toks[0], lineno)
+    if v in seen:
+        raise ParseError(f"line {lineno}: vertex {_decimal(v)} repeats in the cut")
+    seen.add(v)
 
 
 def parse_connectivity_witness(text: str, g: Graph) -> ConnectivityWitness:
     """Parse a tree or cut witness file (the tag line says which)."""
-    return _in_bulk_or_by_line(_tree_in_bulk, _connectivity_by_line, text, g)
-
-
-def _connectivity_by_line(text: str, g: Graph) -> ConnectivityWitness:
     from .connectivity import CutWitness, SpanningTreeWitness
 
-    rows = _rows(text)
-    if rows and rows[0][1] and rows[0][1][0] == "cut":
-        (k,) = _tag_row(rows, "cut", 1)
-        body = _body(rows, k, "cut vertex")
-        members: set[int] = set()
-        for lineno, toks in body:
-            if len(toks) != 1:
-                raise ParseError(f"line {lineno}: expected one vertex id")
-            v = _nat(toks[0], lineno)
-            if v in members:
-                raise ParseError(f"line {lineno}: vertex {v} repeats in the cut")
-            members.add(v)
-        return CutWitness(frozenset(members))
-    (root,) = _tag_row(rows, "tree", 1)
-    body = _body(rows, g.num_verts, "vertex")
-    parent_edge: list[int | None] = []
-    num: list[int] = []
-    for lineno, toks in body:
-        if len(toks) != 2:
-            raise ParseError(f"line {lineno}: expected '<edge-id|-> <num>'")
-        parent_edge.append(_opt_edge_id(toks[0], lineno))
-        num.append(_nat(toks[1], lineno))
-    return SpanningTreeWitness(root, parent_edge, num)
+    if text.split(maxsplit=1)[:1] != ["cut"]:
+        n = g.num_verts
+        (root,), (parent_edge, num), _ = _in_bulk(text, _TREE, n) or _by_line(text, _TREE, n)
+        return SpanningTreeWitness(root, parent_edge, num)
+    read = _in_bulk(text, _CUT)
+    # The bulk reader does not look for repeats.
+    if not read or len(set(read[1][0])) < read[0][0]:
+        read = _by_line(text, _CUT, check=functools.partial(_cut_line, set()))
+    return CutWitness(frozenset(read[1][0]))
 
 
 def parse_sp_witness(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
     """Parse a shortest-path witness; costs come from the graph file."""
-    return _in_bulk_or_by_line(_sp_in_bulk, _sp_by_line, text, g, cost)
-
-
-def _sp_by_line(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
-    from .extnat import INFINITY, ExtNat
     from .shortest_paths import SpWitness
 
-    def ext_nat(token: str, lineno: int) -> ExtNat:
-        return INFINITY if token == "INF" else ExtNat(_nat(token, lineno))
-
-    rows = _rows(text)
-    (source,) = _tag_row(rows, "sp", 1)
-    body = _body(rows, g.num_verts, "vertex")
-    dist: list[ExtNat] = []
-    num: list[ExtNat] = []
-    parent_edge: list[int | None] = []
-    for lineno, toks in body:
-        if len(toks) != 3:
-            raise ParseError(f"line {lineno}: expected '<dist|INF> <num|INF> <edge-id|->'")
-        dist.append(ext_nat(toks[0], lineno))
-        num.append(ext_nat(toks[1], lineno))
-        parent_edge.append(_opt_edge_id(toks[2], lineno))
+    n = g.num_verts
+    (source,), (dist, num, parent_edge), _ = _in_bulk(text, _SP, n) or _by_line(text, _SP, n)
     return SpWitness(source, dist, num, parent_edge, cost)
 
 
@@ -341,26 +320,10 @@ def parse_matching_witness(text: str, g: Graph) -> MatchingWitness:
     from .graph import Graph
     from .matching import MatchingWitness
 
-    rows = _rows(text)
-    (m_edges,) = _tag_row(rows, "matching", 1)
-    label_rows = 1 if g.num_verts > 0 else 0
-    body = _body(rows, m_edges + label_rows, "witness")
-    edges: list[tuple[int, int]] = []
-    edge_map: list[int] = []
-    for lineno, toks in body[:m_edges]:
-        if len(toks) != 3:
-            raise ParseError(f"line {lineno}: expected '<src> <trg> <f>'")
-        edges.append((_nat(toks[0], lineno), _nat(toks[1], lineno)))
-        edge_map.append(_nat(toks[2], lineno))
-    labels: list[int] = []
-    if label_rows:
-        lineno, toks = body[m_edges]
-        if len(toks) != g.num_verts:
-            raise LengthMismatchError(
-                f"line {lineno}: expected {g.num_verts} labels, found {len(toks)}"
-            )
-        labels = [_nat(tok, lineno) for tok in toks]
-    return MatchingWitness(Graph(g.num_verts, edges), edge_map, labels)
+    n = g.num_verts
+    read = _in_bulk(text, _MATCHING, n) or _by_line(text, _MATCHING, n)
+    _, (src, trg, edge_map), labels = read
+    return MatchingWitness(Graph(n, zip(src, trg)), edge_map, labels)
 
 
 def parse_gcd_line(text: str) -> GcdTriple:

@@ -212,6 +212,26 @@ def test_5001_digit_root_and_source_are_no_crash(capsys, tmp_path):
     assert (code, out) == (2, "ERROR: source: source <16613-bit integer> is not a vertex\n")
 
 
+def test_5000_digit_repeated_cut_vertex_exits_2(capsys, tmp_path):
+    huge = "9" * 5000
+    graph = tmp_path / "three.graph"
+    graph.write_text("graph 3 1\n0 1\n")
+    cut = tmp_path / "repeat.cut"
+    cut.write_text(f"cut 2\n{huge}\n{huge}\n")
+    code, out = run(capsys, "check-connected", str(graph), str(cut))
+    assert (code, out) == (2, f"ERROR: line 3: vertex {huge} repeats in the cut\n")
+
+
+def test_5000_digit_vertex_count_in_a_label_error_exits_2(capsys, tmp_path):
+    huge = "9" * 5000
+    graph = tmp_path / "huge.graph"
+    graph.write_text(f"graph {huge} 0\n")
+    witness = tmp_path / "short.matching"
+    witness.write_text("matching 0\n0 0\n")
+    code, out = run(capsys, "check-matching", str(graph), str(witness))
+    assert (code, out) == (2, f"ERROR: line 2: expected {huge} labels, found 2\n")
+
+
 def test_unexpected_exception_exits_3_without_traceback(capsys, monkeypatch):
     def out_of_memory(g):
         raise MemoryError("no room for the vertices")

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import sys
 
 import pytest
 
@@ -218,11 +221,12 @@ def test_gcd_solver_round_trips_through_text():
     assert parse_gcd_line(line) == GcdTriple(240, 46, 2, -9, 47)
 
 
-# The bulk readers of graph, tree and sp files must agree with the per-line
-# reader, which defines the formats, on every input: the same value, or the
-# same exception type and message. The mutations aim at the bulk readers'
-# boundaries: layouts they leave to the per-line reader, tokens that int()
-# reads but the formats refuse, counts and ranges they must check.
+# Every file kind is read in bulk where the file is in the serializers'
+# layout, and by line otherwise. The per-line reader defines the formats,
+# so both paths must give the same value, or the same exception type and
+# message, on every input. The mutations aim at the bulk reader's
+# boundaries: layouts it leaves to the per-line reader, tokens that int()
+# reads but the formats refuse, counts and ranges it must check.
 _ODD_TOKENS = ("١", "+1", "1_0", "INF", "-", "007", "9" * 5000, "1" + "0" * 4999)
 
 
@@ -268,41 +272,42 @@ def _outcome(parse, *args):
 
 
 def _format_cases(rng: random.Random):
-    """(format, serialized text, per-line reader or None, public reader, context) tuples."""
+    """(kind, serialized text, public reader, context) tuples of the five graph-based kinds."""
     for _ in range(12):
         g = random_multigraph(rng, rng.randint(1, 9), 14)
         gd, cost = random_digraph(rng, rng.randint(1, 9), 14, 30)
         gl = random_loopless_graph(rng, rng.randint(1, 9), 12)
         conn = solve_connectivity(g).witness
-        yield "graph2", serialize_graph(g), formats._graph_by_line, parse_graph, ()
-        yield "graph3", serialize_graph(gd, cost), formats._graph_by_line, parse_graph, ()
+        yield "graph2", serialize_graph(g), parse_graph, ()
+        yield "graph3", serialize_graph(gd, cost), parse_graph, ()
         yield (
             "cut" if isinstance(conn, CutWitness) else "tree",
             serialize_connectivity_witness(conn),
-            formats._connectivity_by_line,
             parse_connectivity_witness,
             (g,),
         )
         sp = solve_shortest_paths(gd, cost, rng.randrange(gd.num_verts)).witness
-        yield "sp", serialize_sp_witness(sp), formats._sp_by_line, parse_sp_witness, (gd, cost)
+        yield "sp", serialize_sp_witness(sp), parse_sp_witness, (gd, cost)
         mw = solve_max_matching(gl).witness
-        # Matching files have only the per-line reader: nothing to compare.
-        yield "matching", serialize_matching_witness(mw), None, parse_matching_witness, (gl,)
+        yield "matching", serialize_matching_witness(mw), parse_matching_witness, (gl,)
 
 
-def test_bulk_readers_agree_with_the_per_line_reader():
+def test_bulk_readers_agree_with_the_per_line_reader(monkeypatch):
     rng = random.Random(404)
-    seen = set()
-    for kind, text, by_line, parse, ctx in _format_cases(rng):
-        for mutant in _mutants(text, rng):
-            got = _outcome(parse, mutant, *ctx)
-            if by_line is not None:
-                assert got == _outcome(by_line, mutant, *ctx), (kind, mutant[:200])
-            # Totality: a value or a format error, never a stray exception.
-            if got[0] != "value":
-                assert issubclass(got[0], (ParseError, WellformednessError)), (kind, got)
-            seen.add(kind)
-    assert seen == {"graph2", "graph3", "tree", "cut", "sp", "matching"}
+    cases = [
+        (kind, mutant, parse, ctx)
+        for kind, text, parse, ctx in _format_cases(rng)
+        for mutant in _mutants(text, rng)
+    ]
+    got = [_outcome(parse, mutant, *ctx) for _, mutant, parse, ctx in cases]
+    # With the bulk reader refusing every file, the per-line reader reads all.
+    monkeypatch.setattr(formats, "_in_bulk", lambda *args: None)
+    for (kind, mutant, parse, ctx), outcome in zip(cases, got):
+        assert outcome == _outcome(parse, mutant, *ctx), (kind, mutant[:200])
+        # Totality: a value or a format error, never a stray exception.
+        if outcome[0] != "value":
+            assert issubclass(outcome[0], (ParseError, WellformednessError)), (kind, outcome)
+    assert {case[0] for case in cases} == {"graph2", "graph3", "tree", "cut", "sp", "matching"}
 
 
 def test_serializer_output_takes_the_bulk_readers(monkeypatch):
@@ -317,20 +322,94 @@ def test_serializer_output_takes_the_bulk_readers(monkeypatch):
     tree = solve_connectivity(g).witness
     gd = Graph(n + 3, edges)  # three vertices no edge reaches: INF and '-'
     sp = solve_shortest_paths(gd, cost, 0).witness
+    cut = CutWitness(frozenset(rng.sample(range(n), n // 2)))
+    gl = random_loopless_graph(rng, 3500, 3 * 3500)
+    matching = solve_max_matching(gl).witness
     texts = (serialize_graph(g), serialize_graph(g, cost), serialize_graph(gd, cost))
     tree_text, sp_text = serialize_connectivity_witness(tree), serialize_sp_witness(sp)
+    cut_text, matching_text = serialize_connectivity_witness(cut), serialize_matching_witness(matching)
 
     def refuse(*args):
         raise AssertionError("per-line reader called on serializer output")
 
-    for name in ("_graph_by_line", "_connectivity_by_line", "_sp_by_line"):
-        monkeypatch.setattr(formats, name, refuse)
+    monkeypatch.setattr(formats, "_by_line", refuse)
     assert parse_graph(texts[0]) == (g, None)
     assert parse_graph(texts[1]) == (g, cost)
     assert parse_graph(texts[2]) == (gd, cost)
     assert parse_connectivity_witness(tree_text, g) == tree
     assert parse_sp_witness(sp_text, gd, cost) == sp
     assert "INF INF -" in sp_text
+    assert parse_connectivity_witness(cut_text, g) == cut
+    assert parse_matching_witness(matching_text, gl) == matching
+    assert matching.matching.num_edges > 1000
+
+
+_SERIALIZERS = {
+    "graph2": lambda parsed: serialize_graph(*parsed),
+    "graph3": lambda parsed: serialize_graph(*parsed),
+    "tree": serialize_connectivity_witness,
+    "cut": serialize_connectivity_witness,
+    "sp": serialize_sp_witness,
+    "matching": serialize_matching_witness,
+    "gcd": serialize_gcd,
+}
+
+
+def _golden_cases(rng: random.Random):
+    for _ in range(2):
+        yield from _format_cases(rng)
+    for _ in range(24):
+        a, b = rng.randrange(1, 10**12), rng.randrange(10**12)
+        res = solve_gcd(a, b)
+        yield "gcd", serialize_gcd(GcdTriple(a, b, res.output, *res.witness)), parse_gcd_line, ()
+
+
+def _golden_mutants(kind: str, text: str, rng: random.Random) -> list[str]:
+    """Single and double faults, plus orders of faults a reader must keep."""
+    singles = _mutants(text, rng)
+    out = singles + [rng.choice(_mutants(m, rng)) for m in singles if "\n" in m]
+    lines = text.split("\n")[:-1]
+    if len(lines) > 1:  # a duplicated body line
+        i = rng.randrange(1, len(lines))
+        out.append("\n".join(lines[: i + 1] + lines[i:]) + "\n")
+    if kind == "cut" and len(lines) > 1:  # a repeated vertex, then a bad token
+        out.append("\n".join([f"cut {len(lines) + 1}", *lines[1:], lines[1], "x"]) + "\n")
+    if kind.startswith("graph") and len(lines) > 2:
+        n = lines[0].split(" ")[1]
+        i = rng.randrange(1, len(lines) - 1)
+        # An endpoint out of range, then a bad cost or a bad line.
+        for bad, after in ((f"{n} 0 x", lines[i + 1]), (f"0 {n}", "garbage"), (f"0 {n} 1", "0 x 1")):
+            out.append("\n".join(lines[:i] + [bad, after] + lines[i + 2 :]) + "\n")
+    return out
+
+
+def test_parse_outcomes_match_the_golden_digest():
+    # One sha256 over (kind, file, outcome) pins what every reader accepts
+    # and every message it gives, whichever path reads the file. Values are
+    # compared as the serializers write them, so the digest does not depend
+    # on how the classes print.
+    rng = random.Random(2718)
+    digest = hashlib.sha256()
+    count = 0
+    old_limit = sys.get_int_max_str_digits()
+    for kind, text, parse, ctx in _golden_cases(rng):
+        for mutant in _golden_mutants(kind, text, rng):
+            try:
+                value = parse(mutant, *ctx)
+            except Exception as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            else:
+                sys.set_int_max_str_digits(0)  # the serializers write ids as str()
+                try:
+                    outcome = _SERIALIZERS[kind](value)
+                finally:
+                    sys.set_int_max_str_digits(old_limit)
+            digest.update(json.dumps([kind, mutant, outcome]).encode() + b"\n")
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        7121,
+        "8711d6ecb37dc9876300cbf0f209991451f2372ecd684740c0ea168d88c1ea00",
+    )
 
 
 def test_numbers_past_the_interpreter_digit_limit_round_trip():
