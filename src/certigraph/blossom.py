@@ -6,9 +6,12 @@ vertices meet inside a tree, augment when two trees meet. Blossoms are
 tracked through a ``base`` array mapping every vertex to the base of its
 (possibly nested) contracted cycle.
 
-Each step costs only as much as the structure it touches:
+One search routine, ``_grow``, grows every alternating forest, on one
+set of arrays: each augmentation grows a tree from one free root, and the
+certificate grows the forest from every free vertex once the matching is
+maximum. Each step costs only as much as the structure it touches:
 
-* a search from one free root costs its alternating tree. The search
+* a search from one free root costs its alternating tree. The forest
   arrays are allocated once and only the tree's vertices are reset after
   each search; a free root without neighbours is skipped;
 * a contraction costs the blossom: every non-trivial base keeps the list
@@ -24,9 +27,8 @@ enqueued in ascending id order, as that scan would find them, and the
 lowest common ancestor is unique however it is found. So the witness is
 reproducible byte for byte.
 
-The certificate is extracted after the matching is maximum, from one final
-multi-root search that cannot augment. At that point the vertices split
-into three classes:
+The final forest, grown from every free vertex, cannot augment. In it the
+vertices split into three classes:
 
 * ``EVEN``: in some alternating tree at even depth (including every free
   vertex and everything swallowed by a blossom);
@@ -69,14 +71,6 @@ def maximum_matching_with_cover(g: Graph) -> tuple[tuple[int, ...], tuple[int, .
             adj[e.trg].append(e.src)
     adj = [sorted(set(ns)) for ns in adj]
 
-    match = _maximum_matching(n, adj)
-    status, blossoms = _final_forest(n, adj, match)
-    labels = _cover_labels(n, adj, status, blossoms)
-    edge_ids = _matched_edge_ids(g, match)
-    return edge_ids, labels
-
-
-def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
     match = [-1] * n
     # Greedy seed: fewer augmentation phases, same maximum.
     for v in range(n):
@@ -86,17 +80,15 @@ def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
                     match[v] = u
                     match[u] = v
                     break
-    # One set of search arrays for all roots; each search resets what it touched.
-    used = [False] * n
-    parent = [-1] * n
-    base = list(range(n))
+    # One set of forest arrays for every search; each augmentation resets what it touched.
+    forest = ([_UNREACHED] * n, [-1] * n, list(range(n)), [-1] * n)
+    status, parent, base, root_of = forest
     for root in range(n):
         if match[root] != -1 or not adj[root]:
             continue
         tree = [root]
-        end = _find_augmenting_path(adj, match, used, parent, base, tree, root)
+        v = _grow(adj, match, forest, {}, tree)
         # Flip matched/unmatched edges along the found path back to the root.
-        v = end
         while v != -1:
             pv = parent[v]
             next_v = match[pv]
@@ -104,53 +96,70 @@ def _maximum_matching(n: int, adj: list[list[int]]) -> list[int]:
             match[pv] = v
             v = next_v
         for v in tree:
-            used[v] = False
+            status[v] = _UNREACHED
             parent[v] = -1
             base[v] = v
-    return match
+            root_of[v] = -1
+    blossoms: dict[int, list[int]] = {}
+    _grow(adj, match, forest, blossoms, [v for v in range(n) if match[v] == -1])
+    labels = _cover_labels(n, adj, status, blossoms)
+    edge_ids = _matched_edge_ids(g, match)
+    return edge_ids, labels
 
 
-def _find_augmenting_path(
+def _grow(
     adj: list[list[int]],
     match: list[int],
-    used: list[bool],
-    parent: list[int],
-    base: list[int],
+    forest: tuple[list[int], list[int], list[int], list[int]],
+    blossoms: dict[int, list[int]],
     tree: list[int],
-    root: int,
 ) -> int:
-    """Search for a free vertex reachable from ``root`` along an alternating path.
+    """Grow the alternating forest from the even vertices ``tree`` starts with.
 
-    Returns that endpoint, or -1 if the tree is exhausted. ``parent[v]`` is
-    the even vertex from which odd v was reached; blossom contraction also
-    threads parent pointers around each cycle so augmentation can walk
-    through it. ``used``, ``parent`` and ``base`` start out clean, and
-    ``tree`` starts as ``[root]``; the search appends every vertex it adds
-    to the tree, and writes to no other entries of the three arrays.
+    Returns the first free vertex reached at odd depth, which ends an
+    augmenting path, or -1 once the forest is exhausted. ``forest`` is
+    ``(status, parent, base, root_of)``: ``parent[v]`` is the even vertex
+    from which odd v was reached, and blossom contraction also threads
+    parent pointers around each cycle so augmentation can walk through
+    it. The arrays start out clean (unreached, -1, identity, -1); the search
+    appends every vertex it adds to ``tree``, records each new blossom's
+    members in ``blossoms``, and writes to no other array entries. An
+    even-even edge between two trees would be an augmenting path, which
+    the search never meets when its roots are every free vertex of a
+    maximum matching; it raises RuntimeError if it does.
     """
-    blossoms: dict[int, list[int]] = {}
-    used[root] = True
-    queue = deque([root])
+    status, parent, base, root_of = forest
+    for v in tree:
+        status[v] = _EVEN
+        root_of[v] = v
+    queue = deque(tree)
     while queue:
         v = queue.popleft()
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # ``to`` is even: the edge closes an odd cycle; contract it.
+            # The textbook's "root, or mate has a parent": contraction threads those parents.
+            if status[to] == _EVEN:
+                if root_of[to] != root_of[v]:
+                    raise RuntimeError("augmenting path found after maximality")
+                # The edge closes an odd cycle in one tree; contract it.
                 moved = _contract(match, base, parent, blossoms, v, to)
-                fresh = sorted(i for i in moved if not used[i])
+                fresh = sorted(i for i in moved if status[i] != _EVEN)
                 for i in fresh:
-                    used[i] = True
+                    status[i] = _EVEN
                 queue.extend(fresh)
-            elif parent[to] == -1:
+            elif status[to] == _UNREACHED:
                 parent[to] = v
+                status[to] = _ODD
+                root_of[to] = root_of[v]
                 tree.append(to)
-                if match[to] == -1:
+                mate = match[to]
+                if mate == -1:
                     return to
-                used[match[to]] = True
-                tree.append(match[to])
-                queue.append(match[to])
+                status[mate] = _EVEN
+                root_of[mate] = root_of[v]
+                tree.append(mate)
+                queue.append(mate)
     return -1
 
 
@@ -221,50 +230,6 @@ def _mark_path(
         parent[v] = child
         child = match[v]
         v = parent[match[v]]
-
-
-def _final_forest(
-    n: int, adj: list[list[int]], match: list[int]
-) -> tuple[list[int], dict[int, list[int]]]:
-    """Grow the alternating forest of a maximum matching from all free vertices.
-
-    No augmenting path exists, so every even-even edge closes a blossom
-    within one tree; a cross-tree one would contradict maximality. Returns
-    the vertex classes and the members of each non-trivial blossom, by base.
-    """
-    status = [_UNREACHED] * n
-    parent = [-1] * n
-    base = list(range(n))
-    root_of = [-1] * n
-    blossoms: dict[int, list[int]] = {}
-    queue = deque()
-    for v in range(n):
-        if match[v] == -1:
-            status[v] = _EVEN
-            root_of[v] = v
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if status[to] == _EVEN:
-                if root_of[to] != root_of[v]:
-                    raise RuntimeError("augmenting path found after maximality")
-                moved = _contract(match, base, parent, blossoms, v, to)
-                fresh = sorted(i for i in moved if status[i] != _EVEN)
-                for i in fresh:
-                    status[i] = _EVEN
-                queue.extend(fresh)
-            elif status[to] == _UNREACHED:
-                parent[to] = v
-                status[to] = _ODD
-                root_of[to] = root_of[v]
-                mate = match[to]
-                status[mate] = _EVEN
-                root_of[mate] = root_of[v]
-                queue.append(mate)
-    return status, blossoms
 
 
 def _cover_labels(

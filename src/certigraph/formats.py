@@ -25,12 +25,12 @@ written in pieces, and the interpreter's int/str digit limit is never
 changed.
 
 The graph, tree, cut, sp and matching formats are one ``_Layout`` each.
-``_in_bulk`` reads any of them in the layout the serializers write
-(single spaces, ``\n`` line ends, no blank line) with a regular
-expression scan, one ``split`` and C-level slices, and gives None for any
-other file. ``_by_line`` reads every file row by row; it defines what is
-accepted and gives every error message. A row check per kind adds what no
-layout states: graph lines and their endpoints, and no repeated cut vertex.
+``_write`` writes any of them (single spaces, ``\n`` line ends, no blank
+line). ``_in_bulk`` reads that form with a regular expression scan, one
+``split`` and C-level slices, and gives None for any other file.
+``_by_line`` reads every file row by row; it defines what is accepted and
+gives every error message. A row check per kind adds what no layout
+states: graph lines and their endpoints, and no repeated cut vertex.
 
 Each reader imports the classes it builds when it runs, so reading a gcd
 line loads no graph module and reading a graph loads no witness checker.
@@ -46,10 +46,9 @@ from typing import TYPE_CHECKING
 from .verdict import PreconditionError
 
 if TYPE_CHECKING:
-    from typing import Callable
+    from typing import Callable, Sequence
 
     from .connectivity import ConnectivityWitness
-    from .extnat import ExtNat
     from .gcd import GcdTriple
     from .graph import Graph
     from .matching import MatchingWitness
@@ -70,10 +69,7 @@ class WellformednessError(PreconditionError):
     """A graph file names an endpoint outside its own vertex range."""
 
 
-_Rows = list[tuple[int, list[str]]]
-
-
-def _rows(text: str) -> _Rows:
+def _rows(text: str) -> list[tuple[int, list[str]]]:
     rows = [(i, raw.split()) for i, raw in enumerate(text.splitlines(), start=1)]
     while rows and not rows[-1][1]:
         rows.pop()
@@ -109,10 +105,6 @@ def _decimal(x: int) -> str:
     low = x.bit_length() * 3 // 20  # about half the digits, as log10(2) ~ 0.3
     high, rest = divmod(x, 10**low)
     return _decimal(high) + _decimal(rest).zfill(low)
-
-
-def _ext_decimal(x: ExtNat) -> str:
-    return "INF" if x.value is None else _decimal(x.value)
 
 
 def _nat(token: str, lineno: int) -> int:
@@ -341,41 +333,47 @@ def parse_gcd_line(text: str) -> GcdTriple:
     return GcdTriple(a, b, g, s, t)
 
 
-def serialize_graph(g: Graph, cost: tuple[int, ...] | None = None) -> str:
-    lines = [f"graph {g.num_verts} {g.num_edges}"]
-    for i, e in enumerate(g.edges):
-        lines.append(
-            f"{e.src} {e.trg}" if cost is None else f"{e.src} {e.trg} {_decimal(cost[i])}"
-        )
+def _write(layout: _Layout, head: Sequence, columns: list, labels: Sequence | None = None) -> str:
+    """A file of ``layout`` in the form ``_in_bulk`` reads; ``labels``, if given, ends it."""
+    cells = [
+        column if word is None else [word if x is None else x for x in column]
+        for column, word in zip(columns, layout.columns)
+    ]
+    row = " ".join(["%s"] * len(cells))
+    try:
+        lines = list(map(row.__mod__, zip(*cells)))
+    except ValueError:  # str() refused a number past the digit limit; words pass through
+        lines = [" ".join(map(_decimal, r)) for r in zip(*cells)]
+    lines.insert(0, " ".join([layout.tag, *map(_decimal, head)]))
+    if labels is not None:
+        lines.append(" ".join(map(_decimal, labels)))
     return "\n".join(lines) + "\n"
+
+
+def serialize_graph(g: Graph, cost: tuple[int, ...] | None = None) -> str:
+    columns = [[e.src for e in g.edges], [e.trg for e in g.edges]]
+    if cost is not None:
+        columns.append(cost)
+    return _write(_EDGES[len(columns)], (g.num_verts, g.num_edges), columns)
 
 
 def serialize_connectivity_witness(w: ConnectivityWitness) -> str:
     from .connectivity import CutWitness
 
     if isinstance(w, CutWitness):
-        members = sorted(w.cut_set)
-        return "\n".join([f"cut {len(members)}"] + [str(v) for v in members]) + "\n"
-    lines = [f"tree {w.root}"]
-    for e, k in zip(w.parent_edge, w.num):
-        lines.append(f"{'-' if e is None else e} {k}")
-    return "\n".join(lines) + "\n"
+        return _write(_CUT, (len(w.cut_set),), [sorted(w.cut_set)])
+    return _write(_TREE, (w.root,), [w.parent_edge, w.num])
 
 
 def serialize_sp_witness(w: SpWitness) -> str:
-    lines = [f"sp {w.source}"]
-    for d, k, e in zip(w.dist, w.num, w.parent_edge):
-        lines.append(f"{_ext_decimal(d)} {_ext_decimal(k)} {'-' if e is None else e}")
-    return "\n".join(lines) + "\n"
+    dist, num = ([x.value for x in column] for column in (w.dist, w.num))
+    return _write(_SP, (w.source,), [dist, num, w.parent_edge])
 
 
 def serialize_matching_witness(w: MatchingWitness) -> str:
-    lines = [f"matching {w.matching.num_edges}"]
-    for e, f in zip(w.matching.edges, w.edge_map):
-        lines.append(f"{e.src} {e.trg} {f}")
-    if w.matching.num_verts > 0:
-        lines.append(" ".join(str(l) for l in w.osc))
-    return "\n".join(lines) + "\n"
+    m = w.matching
+    columns = [[e.src for e in m.edges], [e.trg for e in m.edges], w.edge_map]
+    return _write(_MATCHING, (m.num_edges,), columns, w.osc if m.num_verts > 0 else None)
 
 
 def serialize_gcd(t: GcdTriple) -> str:

@@ -84,12 +84,13 @@ def solve_shortest_paths(
     """Dijkstra's algorithm with a binary heap; exact integer arithmetic.
 
     Zero-cost edges are fine: parents are only reassigned on strict
-    improvement, so the parent pointers always form a tree, and the depth
-    numbers are recomputed from that tree after the run.
+    improvement, so the parent pointers always form a tree. A vertex's
+    depth is set when it is settled: its parent edge is final then, and
+    that edge's source was settled before it, as costs are nonnegative.
     """
     import heapq
 
-    from .extnat import ExtNat
+    from .extnat import INFINITY, ExtNat
     from .shortest_paths import SpWitness, require_sp_inputs
 
     require_sp_inputs(g, source)
@@ -103,14 +104,15 @@ def solve_shortest_paths(
         out_edges[e.src].append((i, e.trg))
     dist: list[int | None] = [None] * n
     parent_edge: list[int | None] = [None] * n
+    depth: list[int | None] = [None] * n  # None until settled
     dist[source] = 0
-    done = [False] * n
     heap: list[tuple[int, int]] = [(0, source)]
     while heap:
         d, v = heapq.heappop(heap)
-        if done[v]:
+        if depth[v] is not None:
             continue
-        done[v] = True
+        i = parent_edge[v]
+        depth[v] = 0 if i is None else depth[g.edges[i].src] + 1
         for i, u in out_edges[v]:
             nd = d + cost[i]
             du = dist[u]
@@ -118,39 +120,14 @@ def solve_shortest_paths(
                 dist[u] = nd
                 parent_edge[u] = i
                 heapq.heappush(heap, (nd, u))
-    num = _tree_depths(g, dist, parent_edge, source)
     witness = SpWitness(
         source=source,
         dist=tuple(ExtNat(d) for d in dist),
-        num=num,
+        num=tuple(INFINITY if k is None else ExtNat(k) for k in depth),
         parent_edge=tuple(parent_edge),
         cost=tuple(cost),
     )
     return SolverResult(witness.dist, witness)
-
-
-def _tree_depths(
-    g: Graph,
-    dist: list[int | None],
-    parent_edge: list[int | None],
-    source: int,
-) -> tuple[ExtNat, ...]:
-    from .extnat import INFINITY, ExtNat
-
-    depth: list[int | None] = [None] * g.num_verts
-    depth[source] = 0
-    for v in range(g.num_verts):
-        if dist[v] is None or depth[v] is not None:
-            continue
-        chain = []
-        x = v
-        while depth[x] is None:
-            chain.append(x)
-            x = g.edges[parent_edge[x]].src
-        base = depth[x]
-        for steps, y in enumerate(reversed(chain), start=1):
-            depth[y] = base + steps
-    return tuple(INFINITY if d is None else ExtNat(d) for d in depth)
 
 
 def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:

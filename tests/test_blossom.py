@@ -3,9 +3,11 @@
 The solver's witness is reproducible byte for byte: the same graph always
 yields the same matching edge ids and the same cover labels. The digests
 below pin the serialized witness of seeded instances from four families,
-so any change to the search order of the solver shows up here. The large
-instances check that the witness is accepted and that the matching size
-is the one fixed by how the graph is built.
+and one digest pins about 4000 small random graphs at once, so any change
+to the search order of the solver shows up here. The large instances
+check that the witness is accepted and that the matching size is the one
+fixed by how the graph is built. The last test feeds the certificate's
+forest search a matching that is not maximum, which it must refuse.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import random
 
 import pytest
 
-from certigraph import Graph, MatchingTriple, check_max_matching, solve_max_matching
+from certigraph import Graph, MatchingTriple, blossom, check_max_matching, solve_max_matching
 from certigraph.formats import serialize_matching_witness
+
+from helpers import random_loopless_graph
 
 
 def _relabel(rng: random.Random, n: int, pairs) -> Graph:
@@ -113,3 +117,37 @@ def test_large_instances_accept_with_constructed_size(build):
     res = solve_max_matching(g)
     assert res.output.num_edges == size
     assert check_max_matching(MatchingTriple(g, res.witness)).accepted
+
+
+def _many_graphs():
+    """About 4000 small random graphs of every density, then two large sparse ones."""
+    rng = random.Random(4040)
+    for _ in range(4000):
+        n = rng.randrange(40)
+        yield random_loopless_graph(rng, n, rng.randrange(3 * n + 1))
+    yield random_sparse(2000, 2000, 6000)
+    yield random_sparse(5000, 5000, 15000)
+
+
+def test_witness_bytes_on_many_graphs_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for g in _many_graphs():
+        digest.update(serialize_matching_witness(solve_max_matching(g).witness).encode())
+    assert digest.hexdigest() == (
+        "142ad213e4437b899835424603f3423a9bc54da94ce8e428d88a3d1b743cdf28"
+    )
+
+
+@pytest.mark.parametrize(
+    "adj, match",
+    [([[1], [0]], [-1, -1]), ([[1], [0, 2], [1, 3], [2]], [-1, 2, 1, -1])],
+    ids=["unmatched-edge", "path-of-three-edges"],
+)
+def test_certificate_search_refuses_a_matching_that_is_not_maximum(adj, match):
+    # Grown from every free vertex, the forest of a non-maximum matching
+    # meets an augmenting path as an even-even edge between two trees.
+    n = len(adj)
+    forest = ([blossom._UNREACHED] * n, [-1] * n, list(range(n)), [-1] * n)
+    free = [v for v in range(n) if match[v] == -1]
+    with pytest.raises(RuntimeError, match="augmenting path found after maximality"):
+        blossom._grow(adj, match, forest, {}, free)
