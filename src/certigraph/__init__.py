@@ -17,7 +17,6 @@ _EXPORTS = {
     "ConnectivityTriple": "connectivity",
     "ConnectivityWitness": "connectivity",
     "CutWitness": "connectivity",
-    "Edge": "graph",
     "ExtNat": "extnat",
     "GcdTriple": "gcd",
     "Graph": "graph",

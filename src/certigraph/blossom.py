@@ -65,10 +65,10 @@ def maximum_matching_with_cover(g: Graph) -> tuple[tuple[int, ...], tuple[int, .
     """
     n = g.num_verts
     adj: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        if e.src != e.trg:
-            adj[e.src].append(e.trg)
-            adj[e.trg].append(e.src)
+    for src, trg in g.edges:
+        if src != trg:
+            adj[src].append(trg)
+            adj[trg].append(src)
     adj = [sorted(set(ns)) for ns in adj]
 
     match = [-1] * n
@@ -276,13 +276,8 @@ def _cover_labels(
 
 def _matched_edge_ids(g: Graph, match: list[int]) -> tuple[int, ...]:
     """Lowest G-edge id joining each matched pair, ascending."""
-    by_pair: dict[frozenset[int], int] = {}
-    for i, e in enumerate(g.edges):
-        key = frozenset((e.src, e.trg))
-        by_pair.setdefault(key, i)
-    ids = [
-        by_pair[frozenset((v, match[v]))]
-        for v in range(g.num_verts)
-        if match[v] > v
-    ]
+    by_pair: dict[tuple[int, int], int] = {}
+    for i, (src, trg) in enumerate(g.edges):
+        by_pair.setdefault((src, trg) if src < trg else (trg, src), i)
+    ids = [by_pair[v, match[v]] for v in range(g.num_verts) if match[v] > v]
     return tuple(sorted(ids))

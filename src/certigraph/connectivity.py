@@ -116,8 +116,8 @@ def check_cut(g: Graph, w: CutWitness) -> Verdict:
         return reject("cut", "cut set contains a non-vertex")
     if len(s) == g.num_verts:
         return reject("cut", "cut set is the whole vertex set")
-    for i, e in enumerate(g.edges):
-        if (e.src in s) != (e.trg in s):
+    for i, (src, trg) in enumerate(g.edges):
+        if (src in s) != (trg in s):
             return reject("cut", f"edge {i} crosses the cut")
     return ACCEPT
 

@@ -351,7 +351,7 @@ def _write(layout: _Layout, head: Sequence, columns: list, labels: Sequence | No
 
 
 def serialize_graph(g: Graph, cost: tuple[int, ...] | None = None) -> str:
-    columns = [[e.src for e in g.edges], [e.trg for e in g.edges]]
+    columns = [[src for src, _ in g.edges], [trg for _, trg in g.edges]]
     if cost is not None:
         columns.append(cost)
     return _write(_EDGES[len(columns)], (g.num_verts, g.num_edges), columns)
@@ -372,7 +372,7 @@ def serialize_sp_witness(w: SpWitness) -> str:
 
 def serialize_matching_witness(w: MatchingWitness) -> str:
     m = w.matching
-    columns = [[e.src for e in m.edges], [e.trg for e in m.edges], w.edge_map]
+    columns = [[src for src, _ in m.edges], [trg for _, trg in m.edges], w.edge_map]
     return _write(_MATCHING, (m.num_edges,), columns, w.osc if m.num_verts > 0 else None)
 
 

@@ -1,38 +1,36 @@
-"""Edge-list graphs and the structural predicates shared by all checkers.
+"""Graphs as edge lists, and the structural predicates shared by all checkers.
 
-A graph is a vertex count n plus a sequence of edge records; vertices are
-``0 .. n-1`` and edges are referred to by their index in the sequence.
-Undirected graphs use one record per edge and readers interpret it
-symmetrically; directed graphs read ``src -> trg`` as written. Nothing in
-the representation forbids self-loops, duplicate edges, or out-of-range
-endpoints: those are predicates over a graph, checked where they matter,
-never silently assumed.
+A graph is a vertex count n plus a tuple of edges, each a plain
+``(src, trg)`` tuple; building a graph from an edge that is not a pair
+raises TypeError. Vertices are ``0 .. n-1`` and edges are referred to by
+their index in the tuple. Undirected graphs use one pair per edge and
+readers interpret it symmetrically; directed graphs read ``src -> trg``
+as written. Nothing in the representation forbids self-loops, duplicate
+edges, or out-of-range endpoints: those are predicates over a graph,
+checked where they matter, never silently assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .verdict import PreconditionError
 
 
-class Edge(NamedTuple):
-    src: int
-    trg: int
-
-
 @dataclass(frozen=True)
 class Graph:
-    """An edge-list graph; ``edges`` may be given as any iterable of pairs."""
+    """An edge-list graph; ``edges`` may be any iterable of pairs, kept as (src, trg) tuples."""
 
     num_verts: int
-    edges: tuple[Edge, ...]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.num_verts < 0:
             raise ValueError(f"num_verts must be nonnegative, got {self.num_verts}")
-        object.__setattr__(self, "edges", tuple(map(Edge._make, self.edges)))
+        edges = tuple(map(tuple, self.edges))
+        if {*map(len, edges)} - {2}:
+            raise TypeError("every edge must be a (src, trg) pair")
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_edges(self) -> int:
@@ -42,7 +40,7 @@ class Graph:
 def wellformed(g: Graph) -> bool:
     """True iff every edge endpoint is a vertex of ``g``."""
     n = g.num_verts
-    return all(0 <= e.src < n and 0 <= e.trg < n for e in g.edges)
+    return all(0 <= src < n and 0 <= trg < n for src, trg in g.edges)
 
 
 def require_wellformed(g: Graph) -> None:
@@ -52,7 +50,7 @@ def require_wellformed(g: Graph) -> None:
 
 
 def has_no_self_loops(g: Graph) -> bool:
-    return all(e.src != e.trg for e in g.edges)
+    return all(src != trg for src, trg in g.edges)
 
 
 def has_no_duplicate_edges(g: Graph) -> bool:

@@ -61,8 +61,7 @@ def check_subset(g: Graph, m: Graph, f: Sequence[int]) -> Verdict:
         fe = f[i]
         if not 0 <= fe < g.num_edges:
             return reject("subset", f"M-edge {i} maps outside G")
-        ge = g.edges[fe]
-        if {e.src, e.trg} != {ge.src, ge.trg}:
+        if {*e} != {*g.edges[fe]}:
             return reject("subset", f"M-edge {i} and G-edge {fe} have different endpoints")
     return ACCEPT
 
@@ -70,11 +69,11 @@ def check_subset(g: Graph, m: Graph, f: Sequence[int]) -> Verdict:
 def check_matching(m: Graph) -> Verdict:
     """Accept iff no vertex is an endpoint of two edges of ``m``."""
     degree = [0] * m.num_verts
-    for i, e in enumerate(m.edges):
-        if degree[e.src] or degree[e.trg]:
+    for i, (src, trg) in enumerate(m.edges):
+        if degree[src] or degree[trg]:
             return reject("matching", f"edge {i} shares an endpoint with an earlier edge")
-        degree[e.src] = 1
-        degree[e.trg] = 1
+        degree[src] = 1
+        degree[trg] = 1
     return ACCEPT
 
 
@@ -88,8 +87,8 @@ def check_osc(g: Graph, osc: Sequence[int]) -> Verdict:
     for v in range(n):
         if not 0 <= osc[v] < n:
             return reject("osc", f"label of vertex {v} out of range")
-    for i, e in enumerate(g.edges):
-        a, b = osc[e.src], osc[e.trg]
+    for i, (src, trg) in enumerate(g.edges):
+        a, b = osc[src], osc[trg]
         if a == 1 or b == 1:
             continue
         if a == b and a >= 2:

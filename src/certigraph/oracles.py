@@ -38,9 +38,9 @@ def oracle_connected(g: Graph) -> bool:
     """
     n = g.num_verts
     reach = [1 << i for i in range(n)]
-    for e in g.edges:
-        reach[e.src] |= 1 << e.trg
-        reach[e.trg] |= 1 << e.src
+    for u, v in g.edges:
+        reach[u] |= 1 << v
+        reach[v] |= 1 << u
     for k in range(n):
         bit = 1 << k
         row = reach[k]
@@ -63,10 +63,10 @@ def oracle_mu(g: Graph, cost: Sequence[int], source: int) -> tuple[ExtNat, ...]:
     dist[source] = ExtNat(0)
     for _ in range(max(n - 1, 1)):
         changed = False
-        for i, e in enumerate(g.edges):
-            candidate = dist[e.src] + cost[i]
-            if candidate < dist[e.trg]:
-                dist[e.trg] = candidate
+        for i, (u, v) in enumerate(g.edges):
+            candidate = dist[u] + cost[i]
+            if candidate < dist[v]:
+                dist[v] = candidate
                 changed = True
         if not changed:
             break
@@ -86,11 +86,11 @@ def oracle_max_matching_size(g: Graph, max_edges: int = 20) -> int:
         )
     n = g.num_verts
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        nbrs[e.src].append(e.trg)
-        nbrs[e.trg].append(e.src)
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     nbrs = [sorted(set(ns)) for ns in nbrs]
-    has_loop = any(e.src == e.trg for e in g.edges)
+    has_loop = any(u == v for u, v in g.edges)
     best = 0
 
     def rec(v: int, used: int, size: int) -> None:
@@ -157,10 +157,10 @@ def enumerate_matchings(g: Graph, max_edges: int = 20) -> Iterator[tuple[int, ..
             yield tuple(cur)
             return
         yield from rec(i + 1, used, cur)
-        e = edges[i]
-        if e.src not in used and e.trg not in used:
+        u, v = edges[i]
+        if u not in used and v not in used:
             cur.append(i)
-            yield from rec(i + 1, used | {e.src, e.trg}, cur)
+            yield from rec(i + 1, used | {u, v}, cur)
             cur.pop()
 
     yield from rec(0, frozenset(), [])
@@ -260,8 +260,8 @@ def _eval_connected(t: ConnectivityTriple) -> bool:
                     pe[v] is not None
                     and 0 <= pe[v] < m
                     and (
-                        (g.edges[pe[v]].trg == v and num[v] == num[g.edges[pe[v]].src] + 1)
-                        or (g.edges[pe[v]].src == v and num[v] == num[g.edges[pe[v]].trg] + 1)
+                        (g.edges[pe[v]][1] == v and num[v] == num[g.edges[pe[v]][0]] + 1)
+                        or (g.edges[pe[v]][0] == v and num[v] == num[g.edges[pe[v]][1]] + 1)
                     )
                 )
                 for v in range(n)
@@ -273,7 +273,7 @@ def _eval_connected(t: ConnectivityTriple) -> bool:
         len(s) > 0
         and all(0 <= v < n for v in s)
         and len(s) < n
-        and all((e.src in s) == (e.trg in s) for e in g.edges)
+        and all((u in s) == (v in s) for u, v in g.edges)
     )
 
 
@@ -290,16 +290,16 @@ def _eval_sp(t: SpTriple) -> bool:
     return (
         dist[w.source] == ExtNat(0)
         and all(dist[v].is_infinite == num[v].is_infinite for v in range(n))
-        and all(dist[e.trg] <= dist[e.src] + cost[i] for i, e in enumerate(g.edges))
+        and all(dist[v] <= dist[u] + cost[i] for i, (u, v) in enumerate(g.edges))
         and all(
             v == w.source
             or num[v].is_infinite
             or (
                 pe[v] is not None
                 and 0 <= pe[v] < m
-                and g.edges[pe[v]].trg == v
-                and dist[v] == dist[g.edges[pe[v]].src] + cost[pe[v]]
-                and num[v] == num[g.edges[pe[v]].src] + 1
+                and g.edges[pe[v]][1] == v
+                and dist[v] == dist[g.edges[pe[v]][0]] + cost[pe[v]]
+                and num[v] == num[g.edges[pe[v]][0]] + 1
             )
             for v in range(n)
         )
@@ -317,18 +317,18 @@ def _eval_matching(t: MatchingTriple) -> bool:
     return (
         all(
             0 <= f[i] < g.num_edges
-            and {e.src, e.trg} == {g.edges[f[i]].src, g.edges[f[i]].trg}
+            and {*e} == {*g.edges[f[i]]}
             for i, e in enumerate(edges)
         )
         and all(
-            not ({edges[i].src, edges[i].trg} & {edges[j].src, edges[j].trg})
+            not ({*edges[i]} & {*edges[j]})
             for i in range(len(edges))
             for j in range(i + 1, len(edges))
         )
         and all(0 <= osc[v] < n for v in range(n))
         and all(
-            osc[e.src] == 1 or osc[e.trg] == 1 or (osc[e.src] == osc[e.trg] >= 2)
-            for e in g.edges
+            osc[u] == 1 or osc[v] == 1 or (osc[u] == osc[v] >= 2)
+            for u, v in g.edges
         )
         and m.num_edges == full_weight(osc, n, max(osc, default=0))
     )

@@ -53,9 +53,9 @@ def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     if n == 0:
         raise PreconditionError("empty_graph", "need at least one vertex")
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, e in enumerate(g.edges):
-        incident[e.src].append((i, e.trg))
-        incident[e.trg].append((i, e.src))
+    for i, (src, trg) in enumerate(g.edges):
+        incident[src].append((i, trg))
+        incident[trg].append((i, src))
     parent_edge: list[int | None] = [None] * n
     num = [0] * n
     seen = [False] * n
@@ -100,8 +100,8 @@ def solve_shortest_paths(
     if any(c < 0 for c in cost):
         raise PreconditionError("cost_negative", "costs must be nonnegative")
     out_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, e in enumerate(g.edges):
-        out_edges[e.src].append((i, e.trg))
+    for i, (src, trg) in enumerate(g.edges):
+        out_edges[src].append((i, trg))
     dist: list[int | None] = [None] * n
     parent_edge: list[int | None] = [None] * n
     depth: list[int | None] = [None] * n  # None until settled
@@ -112,7 +112,7 @@ def solve_shortest_paths(
         if depth[v] is not None:
             continue
         i = parent_edge[v]
-        depth[v] = 0 if i is None else depth[g.edges[i].src] + 1
+        depth[v] = 0 if i is None else depth[g.edges[i][0]] + 1
         for i, u in out_edges[v]:
             nd = d + cost[i]
             du = dist[u]

@@ -151,3 +151,10 @@ def test_certificate_search_refuses_a_matching_that_is_not_maximum(adj, match):
     free = [v for v in range(n) if match[v] == -1]
     with pytest.raises(RuntimeError, match="augmenting path found after maximality"):
         blossom._grow(adj, match, forest, {}, free)
+
+
+def test_a_matched_pair_takes_its_lowest_edge_id_in_either_orientation():
+    # Both orientations of a pair are distinct edges of a simple graph; the
+    # witness names the first of them, whichever way round it is written.
+    g = Graph(4, [(1, 0), (0, 1), (3, 2), (2, 3)])
+    assert solve_max_matching(g).witness.edge_map == (0, 2)

@@ -1,10 +1,17 @@
+import contextlib
+import functools
+import io
 import resource
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from certigraph import solvers
+from certigraph import Graph, has_no_duplicate_edges, has_no_self_loops, solvers
 from certigraph.cli import cli_main
 
 from conftest import DATA, SRC
@@ -315,3 +322,137 @@ def test_solve_loads_only_its_own_solver(tmp_path, command, problem, args):
     assert "solvers" in loaded and "oracles" not in loaded
     assert ("blossom" in loaded) == (command == "solve-matching")
     assert loaded & PROBLEM_MODULES == {problem}
+
+
+# The REJECT column of the README's clause table, one row per check command.
+REJECT_CLAUSES = {
+    "check-connected": {"witness_shape", "r", "parent_num", "cut"},
+    "check-sp": {"witness_shape", "start_val", "no_path", "trian", "just"},
+    "check-matching": {"witness_shape", "subset", "matching", "osc", "cardinality"},
+    "check-gcd": {"g_nonneg", "divides_a", "divides_b", "combination"},
+}
+
+
+@functools.cache
+def valid_cases() -> dict[str, list[tuple[str, str]]]:
+    """Serialized (graph file, witness file) pairs each check command accepts."""
+    from certigraph import formats
+    from certigraph.solvers import solve_connectivity, solve_max_matching, solve_shortest_paths
+
+    names = ("connected_5v.graph", "sp_zero_cycle.graph", "matching_12v.graph")
+    graphs = [formats.parse_graph((DATA / name).read_text()) for name in names]
+    graphs.append((Graph(6, [(0, 1), (2, 3), (3, 4), (4, 2)]), (2, 0, 1, 0)))
+    cases: dict[str, list[tuple[str, str]]] = {c: [] for c in REJECT_CLAUSES}
+    for g, cost in graphs:
+        cost = cost or tuple(i % 3 for i in range(g.num_edges))
+        plain, costed = formats.serialize_graph(g), formats.serialize_graph(g, cost)
+        cases["check-connected"].append(
+            (plain, formats.serialize_connectivity_witness(solve_connectivity(g).witness)))
+        cases["check-sp"].append(
+            (costed, formats.serialize_sp_witness(solve_shortest_paths(g, cost, 0).witness)))
+        if has_no_self_loops(g) and has_no_duplicate_edges(g):
+            cases["check-matching"].append(
+                (costed, formats.serialize_matching_witness(solve_max_matching(g).witness)))
+    # check-gcd reads no graph; its graph file is only for the solve commands.
+    cases["check-gcd"] = [(plain, (DATA / "gcd_example.gcd").read_text()),
+                          (costed, "gcd 240 46 2 -9 47\n")]
+    return cases
+
+
+SMALL = st.integers(0, 9).map(str)  # most often a value the file can hold
+TOKENS = st.one_of(
+    SMALL,
+    SMALL,
+    st.integers(-3, 60).map(str),
+    st.sampled_from(["-", "INF", "inf", "+1", "-0", "00", "1e3", "0x1", "٣", "１", "é"]),
+    st.sampled_from(["graph", "tree", "cut", "sp", "matching", "gcd", ""]),
+    st.sampled_from(["9" * 5000, "-" + "7" * 5000, "1" + "0" * 5000]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated(draw, text: str) -> bytes:
+    """``text`` with tokens, lines, separators, line ends and bytes changed."""
+    lines = [line.split(" ") for line in text.splitlines()]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["token"] * 3 + ["insert", "delete", "blank", "repeat"]))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, draw(st.lists(TOKENS, max_size=4)))
+        elif op == "token":
+            j = draw(st.integers(0, max(len(lines[i]) - 1, 0)))
+            lines[i][j : j + 1] = [draw(TOKENS)]  # a blank line gains its first token
+        elif op == "delete":
+            del lines[i]
+        elif op == "blank":
+            lines.insert(i, [])
+        else:
+            lines.insert(i, list(lines[i]))
+    sep = draw(st.sampled_from([" ", " ", "\t", "  "]))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    data = "".join(sep.join(row) + end for row in lines).encode()
+    if draw(st.integers(0, 5)) == 0:  # cut off
+        data = data[: draw(st.integers(0, len(data)))]
+    if draw(st.integers(0, 5)) == 0:  # bytes that are no UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + data[at:]
+    return data
+
+
+def run_quietly(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def declared_vertices(data: bytes) -> int:
+    """The vertex count a graph file declares, or 0 if it does not parse."""
+    from certigraph import PreconditionError, formats
+
+    try:
+        return formats.parse_graph(data.decode("utf-8"))[0].num_verts
+    except (formats.ParseError, PreconditionError, UnicodeDecodeError):
+        return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(REJECT_CLAUSES)), st.data(), st.integers(-2, 60))
+def test_every_command_on_mutated_files_exits_as_documented(command, data, source):
+    graph_text, witness_text = data.draw(st.sampled_from(valid_cases()[command]), label="case")
+    changed = data.draw(st.sampled_from(["witness", "witness", "graph", "both"]), label="changed")
+    graph, witness = graph_text.encode(), witness_text.encode()
+    if changed != "witness":
+        graph = data.draw(mutated(graph_text), label="graph")
+    if changed != "graph":
+        witness = data.draw(mutated(witness_text), label="witness")
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file, witness_file, out = (str(Path(tmp) / n) for n in ("g", "w", "out"))
+        Path(graph_file).write_bytes(graph)
+        Path(witness_file).write_bytes(witness)
+        files = [witness_file] if command == "check-gcd" else [graph_file, witness_file]
+        code, stdout, stderr = run_quietly(command, *files)
+        event(f"{command} exit {code}")
+        assert stderr == ""
+        if code == 0:
+            assert stdout == "ACCEPT\n"
+        elif code == 1:
+            assert stdout.startswith("REJECT: ") and stdout.endswith("\n")
+            assert stdout[len("REJECT: "):-1] in REJECT_CLAUSES[command]
+        else:
+            assert code == 2
+            assert stdout.startswith("ERROR: ") and stdout.count("\n") == 1
+        # A declared n past 50 would let the solvers allocate without bound.
+        if declared_vertices(graph) > 50:
+            return
+        for argv in (
+            ["solve-connected", graph_file],
+            ["solve-sp", graph_file, str(source)],
+            ["solve-matching", graph_file],
+        ):
+            code, stdout, stderr = run_quietly(*argv, "-o", out)
+            assert stderr == ""
+            assert (code, stdout) == (0, "") or (
+                code == 2 and stdout.startswith("ERROR: ") and stdout.count("\n") == 1
+            )

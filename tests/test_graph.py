@@ -51,3 +51,25 @@ def test_wellformed_monotone_under_edge_removal(g):
     if wellformed(g) and g.num_edges:
         smaller = Graph(g.num_verts, g.edges[:-1])
         assert wellformed(smaller)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [[0, 1], [1, 2]],
+        ((0, 1), (1, 2)),
+        iter([(0, 1), [1, 2]]),
+        (pair for pair in [(0, 1), (1, 2)]),
+    ],
+)
+def test_edges_are_stored_as_exact_tuple_pairs(pairs):
+    g = Graph(3, pairs)
+    assert type(g.edges) is tuple
+    assert all(type(e) is tuple and len(e) == 2 for e in g.edges)
+    assert g.edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), (), 5])
+def test_an_edge_that_is_not_a_pair_fails_at_construction(edge):
+    with pytest.raises(TypeError):
+        Graph(3, [(0, 1), edge])
