@@ -114,13 +114,36 @@ def test_missing_file_exits_2(capsys, tmp_path):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert cli_main(["frobnicate"]) == 2
-    assert cli_main([]) == 2
-    assert cli_main(["check-gcd"]) == 2
+    graph = str(DATA / "sp_zero_cycle.graph")
+    for argv in (
+        ["frobnicate"], [], ["check-gcd"], ["solve-sp", graph, "x"], ["solve-gcd", "1", "x"],
+        ["check-sp", graph],
+    ):
+        assert run(capsys, *argv) == (2, ""), argv
 
 
 def test_help_exits_0(capsys):
     assert cli_main(["--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, operands",
+    [
+        ("check-connected", "graph_file witness_file"),
+        ("check-sp", "graph_file witness_file"),
+        ("check-matching", "graph_file witness_file"),
+        ("check-gcd", "gcd_file"),
+        ("solve-connected", "[-o OUTPUT] graph_file"),
+        ("solve-sp", "[-o OUTPUT] graph_file source"),
+        ("solve-matching", "[-o OUTPUT] graph_file"),
+        ("solve-gcd", "[-o OUTPUT] a b"),
+    ],
+)
+def test_help_gives_each_commands_usage_line(capsys, monkeypatch, command, operands):
+    # Only the usage line: the options heading differs between Python 3.10 and 3.11.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run(capsys, command, "--help")
+    assert (code, out.splitlines()[0]) == (0, f"usage: certigraph {command} [-h] {operands}")
 
 
 def test_solve_sp_matches_golden_witness(capsys, tmp_path):
@@ -270,42 +293,58 @@ def test_vertex_count_past_memory_exits_3(tmp_path):
 PROBLEM_MODULES = {"connectivity", "shortest_paths", "matching", "gcd"}
 NEVER_FOR_CHECKS = {"solvers", "blossom", "oracles"}
 LOADED = """
-import contextlib, io, sys
+import contextlib, io, pathlib, sys
 from certigraph.cli import cli_main
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli_main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, *sorted(m for m in sys.modules if m.startswith("certigraph.")))
+mine = [m for n, m in sys.modules.items() if n == "certigraph" or n.startswith("certigraph.")]
+lines = sum(pathlib.Path(m.__file__).read_bytes().count(b"\\n") for m in mine)
+print(code, lines, *sorted(m for m in sys.modules if m.startswith("certigraph.")))
 """
 
 
-def loaded_modules(*argv: str) -> set[str]:
-    """The certigraph submodules a fresh interpreter holds after ``argv``."""
+def fresh_run(*argv: str) -> tuple[set[str], int]:
+    """The certigraph submodules a fresh interpreter holds after ``argv``, and
+    the lines of all the certigraph modules it loaded, the package included."""
     proc = subprocess.run(
         [sys.executable, "-c", LOADED, *argv],
         cwd=SRC, capture_output=True, text=True, timeout=60,
     )
-    code, *modules = proc.stdout.split() or ["no output"]
+    code, lines, *modules = proc.stdout.split() or ["no output", "0"]
     assert code == "0", (argv, proc.stderr)  # the command ran to the end
-    return {name.removeprefix("certigraph.") for name in modules}
+    return {name.removeprefix("certigraph.") for name in modules}, int(lines)
 
 
 def test_importing_the_cli_loads_no_problem_module():
-    assert loaded_modules() & (PROBLEM_MODULES | NEVER_FOR_CHECKS) == set()
+    assert fresh_run()[0] & (PROBLEM_MODULES | NEVER_FOR_CHECKS) == set()
 
 
-@pytest.mark.parametrize(
-    "command, problem, files",
-    [
-        ("check-connected", "connectivity", ["connected_5v.graph", "connected_5v.tree"]),
-        ("check-sp", "shortest_paths", ["sp_zero_cycle.graph", "sp_zero_cycle.sp"]),
-        ("check-matching", "matching", ["matching_12v.graph", "matching_12v.matching"]),
-        ("check-gcd", "gcd", ["gcd_example.gcd"]),
-    ],
-)
+CHECK_RUNS = [
+    ("check-connected", "connectivity", ["connected_5v.graph", "connected_5v.tree"]),
+    ("check-sp", "shortest_paths", ["sp_zero_cycle.graph", "sp_zero_cycle.sp"]),
+    ("check-matching", "matching", ["matching_12v.graph", "matching_12v.matching"]),
+    ("check-gcd", "gcd", ["gcd_example.gcd"]),
+]
+
+
+@pytest.mark.parametrize("command, problem, files", CHECK_RUNS)
 def test_check_loads_only_its_own_checker(command, problem, files):
-    loaded = loaded_modules(command, *(str(DATA / f) for f in files))
+    loaded, _ = fresh_run(command, *(str(DATA / f) for f in files))
     assert loaded & NEVER_FOR_CHECKS == set()
     assert loaded & PROBLEM_MODULES == {problem}
+
+
+# Lines of certigraph code each check command loads on tests/data, as last measured.
+TRUSTED_BASE = {"check-connected": 902, "check-sp": 964, "check-matching": 920, "check-gcd": 757}
+
+
+@pytest.mark.parametrize("command, problem, files", CHECK_RUNS)
+def test_trusted_base_stays_within_its_pinned_size(command, problem, files):
+    """The certigraph lines a ``check-*`` process loads are what a user must
+    trust for its verdict, so each command's total is pinned from above. A
+    change that raises a bound must state the new bound and why in CHANGES.md."""
+    _, lines = fresh_run(command, *(str(DATA / f) for f in files))
+    assert lines <= TRUSTED_BASE[command]
 
 
 @pytest.mark.parametrize(
@@ -318,7 +357,7 @@ def test_check_loads_only_its_own_checker(command, problem, files):
     ],
 )
 def test_solve_loads_only_its_own_solver(tmp_path, command, problem, args):
-    loaded = loaded_modules(command, *args, "-o", str(tmp_path / "witness"))
+    loaded, _ = fresh_run(command, *args, "-o", str(tmp_path / "witness"))
     assert "solvers" in loaded and "oracles" not in loaded
     assert ("blossom" in loaded) == (command == "solve-matching")
     assert loaded & PROBLEM_MODULES == {problem}
