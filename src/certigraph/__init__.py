@@ -2,7 +2,7 @@
 
 Solvers return each answer together with a witness; checkers decide,
 exactly and in exact arithmetic, whether a witness proves its answer;
-brute-force oracles provide independent ground truth for testing both.
+brute-force oracles (``certigraph.oracles``) give ground truth for testing both.
 Accepting a checker run means the answer is correct regardless of how the
 solver computed it.
 """
@@ -21,7 +21,6 @@ _EXPORTS = {
     "GcdTriple": "gcd",
     "Graph": "graph",
     "INFINITY": "extnat",
-    "InstanceTooLargeError": "oracles",
     "LengthMismatchError": "formats",
     "MatchingTriple": "matching",
     "MatchingWitness": "matching",
@@ -48,12 +47,8 @@ _EXPORTS = {
     "check_start_val": "shortest_paths",
     "check_subset": "matching",
     "check_trian": "shortest_paths",
-    "eval_witness_predicate": "oracles",
     "has_no_duplicate_edges": "graph",
     "has_no_self_loops": "graph",
-    "oracle_connected": "oracles",
-    "oracle_max_matching_size": "oracles",
-    "oracle_mu": "oracles",
     "parse_connectivity_witness": "formats",
     "parse_gcd_line": "formats",
     "parse_graph": "formats",

@@ -19,8 +19,8 @@ from typing import Iterator, Sequence
 from .connectivity import ConnectivityTriple, CutWitness, SpanningTreeWitness
 from .extnat import INFINITY, ExtNat
 from .gcd import GcdTriple
-from .graph import Graph, wellformed
-from .matching import MatchingTriple, MatchingWitness, require_matching_inputs
+from .graph import Graph
+from .matching import MatchingTriple
 from .shortest_paths import SpTriple
 from .verdict import PreconditionError
 
@@ -74,48 +74,12 @@ def oracle_mu(g: Graph, cost: Sequence[int], source: int) -> tuple[ExtNat, ...]:
 
 
 def oracle_max_matching_size(g: Graph, max_edges: int = 20) -> int:
-    """Maximum matching cardinality by pruned exhaustive enumeration.
+    """Maximum matching cardinality: the size of the largest matching of ``g``.
 
-    Branches on the lowest undecided vertex: leave it unmatched, or match
-    it with each still-free neighbor. Every matching is visited (up to
-    pruning branches that provably cannot beat the best found).
+    Takes the maximum over every matching :func:`enumerate_matchings`
+    yields, so it inherits that function's size guard.
     """
-    if g.num_edges > max_edges:
-        raise InstanceTooLargeError(
-            f"{g.num_edges} edges exceeds the enumeration bound {max_edges}"
-        )
-    n = g.num_verts
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    nbrs = [sorted(set(ns)) for ns in nbrs]
-    has_loop = any(u == v for u, v in g.edges)
-    best = 0
-
-    def rec(v: int, used: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        if v == n:
-            return
-        free_later = sum(1 for u in range(v, n) if not used >> u & 1)
-        # A future matched edge consumes two free vertices (one if a loop).
-        cap = free_later if has_loop else free_later // 2
-        if size + cap <= best:
-            return
-        if used >> v & 1:
-            rec(v + 1, used, size)
-            return
-        rec(v + 1, used | (1 << v), size)
-        for u in nbrs[v]:
-            if u == v:
-                rec(v + 1, used | (1 << v), size + 1)
-            elif not used >> u & 1:
-                rec(v + 1, used | (1 << v) | (1 << u), size + 1)
-
-    rec(0, 0, 0)
-    return best
+    return max(map(len, enumerate_matchings(g, max_edges)))
 
 
 def enumerate_graphs(
@@ -166,32 +130,6 @@ def enumerate_matchings(g: Graph, max_edges: int = 20) -> Iterator[tuple[int, ..
     yield from rec(0, frozenset(), [])
 
 
-def find_matching_witness_exhaustive(g: Graph, max_verts: int = 7) -> MatchingWitness:
-    """A solver-independent accepted witness, found by pure enumeration.
-
-    Takes a maximum matching from :func:`enumerate_matchings` and searches
-    all label vectors with labels below ``g.num_verts`` for a cover whose
-    bound equals the matching size. Exponential in every direction; for
-    checker tests on tiny graphs only.
-    """
-    from itertools import product
-
-    from .matching import check_osc, weight
-
-    n = g.num_verts
-    if n > max_verts:
-        raise InstanceTooLargeError(f"{n} vertices exceeds the search bound {max_verts}")
-    best: tuple[int, ...] = max(
-        enumerate_matchings(g, max_edges=max(g.num_edges, 20)), key=len
-    )
-    m = Graph(n, [g.edges[i] for i in best])
-    for labels in product(range(max(n, 1)), repeat=n):
-        if max(labels, default=0) < n or n == 0:
-            if check_osc(g, labels) and weight(g, labels) == len(best):
-                return MatchingWitness(m, best, labels)
-    raise RuntimeError("no certifying cover found; this contradicts matching duality")
-
-
 def label_count(labels: Sequence[int], c: int, i: int) -> int:
     """How many of the first ``i`` labels equal ``c``.
 
@@ -225,9 +163,11 @@ def eval_witness_predicate(problem: str, triple) -> bool:
     """Evaluate a witness predicate directly from its quantified definition.
 
     ``problem`` is one of ``"connected"``, ``"sp"``, ``"matching"``,
-    ``"gcd"``. This is the checkers' test oracle: same precondition errors,
-    same shape rules, but the body is a single boolean expression per
-    conjunct instead of a diagnostic loop.
+    ``"gcd"``. This is the checkers' test oracle: it raises
+    :class:`PreconditionError` on the same inputs (under its own clause
+    names) and applies the same shape rules, but states each precondition
+    and conjunct as a single boolean expression instead of a diagnostic
+    loop, and calls no checker code.
     """
     if problem == "connected":
         return _eval_connected(triple)
@@ -241,11 +181,10 @@ def eval_witness_predicate(problem: str, triple) -> bool:
 
 
 def _eval_connected(t: ConnectivityTriple) -> bool:
-    g = t.graph
-    if not wellformed(g):
-        raise PreconditionError("wellformed", "edge endpoint out of range")
+    g, w = t.graph, t.witness
     n, m = g.num_verts, g.num_edges
-    w = t.witness
+    if not all(0 <= u < n and 0 <= v < n for u, v in g.edges):
+        raise PreconditionError("wellformed", "edge endpoint out of range")
     if isinstance(w, SpanningTreeWitness):
         if len(w.parent_edge) != n or len(w.num) != n:
             return False
@@ -279,11 +218,9 @@ def _eval_connected(t: ConnectivityTriple) -> bool:
 
 def _eval_sp(t: SpTriple) -> bool:
     g, w = t.graph, t.witness
-    if not wellformed(g):
-        raise PreconditionError("wellformed", "edge endpoint out of range")
-    if not 0 <= w.source < g.num_verts:
-        raise PreconditionError("source", f"source {w.source} is not a vertex")
     n, m = g.num_verts, g.num_edges
+    if not (all(0 <= u < n and 0 <= v < n for u, v in g.edges) and 0 <= w.source < n):
+        raise PreconditionError("sp_inputs", "edge endpoint or source out of range")
     if len(w.dist) != n or len(w.num) != n or len(w.parent_edge) != n or len(w.cost) != m:
         return False
     dist, num, pe, cost = w.dist, w.num, w.parent_edge, w.cost
@@ -309,8 +246,13 @@ def _eval_sp(t: SpTriple) -> bool:
 def _eval_matching(t: MatchingTriple) -> bool:
     g, w = t.graph, t.witness
     m, f, osc = w.matching, w.edge_map, w.osc
-    require_matching_inputs(g, m)
     n = g.num_verts
+    if not (
+        m.num_verts == n
+        and all(0 <= u < n and 0 <= v < n and u != v for u, v in g.edges + m.edges)
+        and len(set(g.edges)) == g.num_edges
+    ):
+        raise PreconditionError("matching_inputs", "loop-free G, M on n vertices; no G repeats")
     if len(f) != m.num_edges or len(osc) != n:
         return False
     edges = m.edges

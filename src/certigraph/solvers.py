@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generic, Sequence, TypeVar
 
-from .verdict import PreconditionError
+from .verdict import PreconditionError, shown
 
 if TYPE_CHECKING:
     from .connectivity import ConnectivityWitness
@@ -38,6 +38,15 @@ class SolverResult(Generic[Y, W]):
     witness: W
 
 
+def _require_vertex_limit(g: Graph) -> None:
+    """Raise :class:`PreconditionError` past 2**31 - 1 vertices, the C checkers' int range.
+
+    Solvers allocate per-vertex lists, so each calls this before any of them.
+    """
+    if g.num_verts > 2**31 - 1:
+        raise PreconditionError("vertex_limit", f"{shown(g.num_verts)} vertices exceed 2^31 - 1")
+
+
 def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     """Breadth-first search from vertex 0; edges are traversable both ways.
 
@@ -52,6 +61,7 @@ def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     n = g.num_verts
     if n == 0:
         raise PreconditionError("empty_graph", "need at least one vertex")
+    _require_vertex_limit(g)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (src, trg) in enumerate(g.edges):
         incident[src].append((i, trg))
@@ -99,6 +109,7 @@ def solve_shortest_paths(
         raise PreconditionError("cost_shape", "need one cost per edge")
     if any(c < 0 for c in cost):
         raise PreconditionError("cost_negative", "costs must be nonnegative")
+    _require_vertex_limit(g)
     out_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (src, trg) in enumerate(g.edges):
         out_edges[src].append((i, trg))
@@ -143,6 +154,7 @@ def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:
 
     # The empty matching meets every condition on M, so only G's are tested.
     require_matching_inputs(g, Graph(g.num_verts, ()))
+    _require_vertex_limit(g)
     edge_ids, labels = blossom.maximum_matching_with_cover(g)
     m = Graph(g.num_verts, [g.edges[i] for i in edge_ids])
     witness = MatchingWitness(m, edge_ids, labels)

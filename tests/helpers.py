@@ -25,11 +25,11 @@ from certigraph import (
     check_gcd,
     check_max_matching,
     check_shortest_paths,
-    eval_witness_predicate,
     solve_connectivity,
     solve_max_matching,
     solve_shortest_paths,
 )
+from certigraph.oracles import eval_witness_predicate
 
 _CHECKERS = {
     "connected": check_connectivity,

@@ -32,9 +32,6 @@ from certigraph import (
     check_shortest_paths,
     check_start_val,
     check_trian,
-    oracle_connected,
-    oracle_max_matching_size,
-    oracle_mu,
     parse_connectivity_witness,
     parse_graph,
     parse_matching_witness,
@@ -46,7 +43,13 @@ from certigraph import (
     weight,
 )
 from certigraph.gcd import GcdTriple, check_gcd
-from certigraph.oracles import enumerate_graphs, enumerate_matchings
+from certigraph.oracles import (
+    enumerate_graphs,
+    enumerate_matchings,
+    oracle_connected,
+    oracle_max_matching_size,
+    oracle_mu,
+)
 
 from conftest import DATA
 from helpers import (

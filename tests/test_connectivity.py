@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -118,6 +119,8 @@ def test_triple_requires_matching_variant(demo_graph, demo_tree):
         ConnectivityTriple(demo_graph, False, demo_tree)
     with pytest.raises(ValueError):
         ConnectivityTriple(demo_graph, True, CutWitness(frozenset({0})))
+    with pytest.raises(ValueError):
+        SpanningTreeWitness(0, [None, 0], [0, -1])  # depths are nonnegative
 
 
 def test_empty_graph_rejects_both_witnesses():
@@ -127,11 +130,19 @@ def test_empty_graph_rejects_both_witnesses():
 
 
 def test_mutation_killing_on_demo_witness(demo_graph, demo_tree):
-    """Any single-field flip is rejected unless the evaluator still approves."""
+    """Any single-field flip is rejected unless the evaluator still approves;
+    wrong array lengths and malformed graphs get the same answer from both."""
     t = ConnectivityTriple(demo_graph, True, demo_tree)
     flips = list(connectivity_mutations(demo_graph, t))
     assert len(flips) > 50
-    for mutated in flips:
+    cut = CutWitness(frozenset({0}))
+    broken = [
+        ConnectivityTriple(demo_graph, True, replace(demo_tree, parent_edge=(None,) * 4)),
+        ConnectivityTriple(demo_graph, True, replace(demo_tree, num=demo_tree.num + (3,))),
+        ConnectivityTriple(Graph(5, demo_graph.edges + ((4, 5),)), True, demo_tree),
+        ConnectivityTriple(Graph(2, [(-1, 1)]), False, cut),
+    ]
+    for mutated in flips + broken:
         agree, checker_says, eval_says = verdicts_agree("connected", mutated)
         assert agree, (mutated.witness, checker_says, eval_says)
 

@@ -10,6 +10,9 @@ ext_nats = st.one_of(st.just(INFINITY), st.integers(0, 10**9).map(ExtNat))
 def test_construction_rejects_negative():
     with pytest.raises(ValueError):
         ExtNat(-1)
+    for not_an_int in (1.0, "1", True):
+        with pytest.raises(TypeError):
+            ExtNat(not_an_int)
 
 
 def test_addition_absorbs_infinity():
@@ -31,6 +34,10 @@ def test_order_examples():
     assert ExtNat(4) <= INFINITY
     assert INFINITY <= INFINITY
     assert not INFINITY <= ExtNat(10**100)
+    assert INFINITY >= ExtNat(3) >= ExtNat(3)
+    assert INFINITY > ExtNat(4) > ExtNat(3)
+    assert not ExtNat(3) > ExtNat(3)
+    assert not ExtNat(3) >= INFINITY
 
 
 def test_str_forms():

@@ -1,9 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from certigraph import GcdTriple, PreconditionError, check_gcd, eval_witness_predicate, solve_gcd
+from certigraph import GcdTriple, PreconditionError, check_gcd, solve_gcd
+from certigraph.oracles import eval_witness_predicate
+
+from helpers import verdicts_agree
 
 
 def test_accepts_correct_certificate():
@@ -88,17 +91,12 @@ def test_solver_matches_math_gcd(a, b):
     st.integers(min_value=-8, max_value=8),
     st.integers(min_value=-8, max_value=8),
 )
+@example(-4, 6, 2, 1, 1)  # precondition: a negative input
+@example(4, -6, 2, -1, -1)
+@example(0, 0, 0, 0, 0)  # precondition: gcd(0, 0)
 def test_decision_property(a, b, g, s, t):
-    triple = GcdTriple(a, b, g, s, t)
-    try:
-        checker_says: object = bool(check_gcd(triple))
-    except PreconditionError:
-        checker_says = "precondition"
-    try:
-        eval_says: object = bool(eval_witness_predicate("gcd", triple))
-    except PreconditionError:
-        eval_says = "precondition"
-    assert checker_says == eval_says
+    agree, checker_says, eval_says = verdicts_agree("gcd", GcdTriple(a, b, g, s, t))
+    assert agree, (checker_says, eval_says)
     if checker_says is True:
         assert g == math.gcd(a, b)
 

@@ -126,6 +126,8 @@ def test_witness_shape(twelve_graph, twelve_witness):
     assert v.clause == "witness_shape"
     w = replace(twelve_witness, osc=twelve_witness.osc[:11])
     assert check_max_matching(MatchingTriple(twelve_graph, w)).clause == "witness_shape"
+    with pytest.raises(ValueError):
+        replace(twelve_witness, osc=(-1,) + twelve_witness.osc[1:])  # labels are nonnegative
 
 
 def test_empty_graph_accepts_empty_witness():
@@ -153,7 +155,20 @@ def test_mutation_killing_on_twelve_witness(twelve_graph, twelve_witness):
     t = MatchingTriple(twelve_graph, twelve_witness)
     flips = list(matching_mutations(twelve_graph, t))
     assert len(flips) > 100
-    for mutated in mutation_sample(flips, rng, 150):
+    g, w = twelve_graph, twelve_witness
+    m = w.matching
+    # Wrong lengths, then one violation of each precondition.
+    broken = [
+        (g, replace(w, edge_map=w.edge_map[:-1])),
+        (g, replace(w, osc=w.osc + (0,))),
+        (Graph(12, g.edges + ((0, 12),)), w),
+        (g, replace(w, matching=Graph(12, m.edges + ((11, 12),)))),
+        (Graph(12, g.edges + ((3, 3),)), w),
+        (g, replace(w, matching=Graph(12, m.edges + ((5, 5),)))),
+        (Graph(12, g.edges + (g.edges[0],)), w),
+        (g, replace(w, matching=Graph(13, m.edges))),
+    ]
+    for mutated in mutation_sample(flips, rng, 150) + [MatchingTriple(*p) for p in broken]:
         agree, checker_says, eval_says = verdicts_agree("matching", mutated)
         assert agree, (mutated.witness, checker_says, eval_says)
 

@@ -1,24 +1,19 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from certigraph import (
-    Graph,
+from certigraph import Graph, oracles, solve_connectivity, solve_shortest_paths
+from certigraph.oracles import (
     InstanceTooLargeError,
-    MatchingTriple,
-    check_max_matching,
+    enumerate_graphs,
+    enumerate_matchings,
+    full_weight,
+    label_count,
     oracle_connected,
     oracle_max_matching_size,
     oracle_mu,
-    solve_connectivity,
-    solve_shortest_paths,
-)
-from certigraph.oracles import (
-    enumerate_graphs,
-    enumerate_matchings,
-    find_matching_witness_exhaustive,
-    full_weight,
-    label_count,
 )
 
 from helpers import random_digraph, random_multigraph
@@ -97,21 +92,31 @@ def test_enumerate_matchings_counts():
         list(enumerate_matchings(Graph(30, [(i, i + 1) for i in range(25)])))
 
 
-def test_find_matching_witness_exhaustive():
-    rng = random.Random(17)
-    for n in range(6):
-        for _ in range(10):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-            w = find_matching_witness_exhaustive(g)
-            assert check_max_matching(MatchingTriple(g, w)).accepted
-            assert w.matching.num_edges == oracle_max_matching_size(g)
-    with pytest.raises(InstanceTooLargeError):
-        find_matching_witness_exhaustive(Graph(8, []))
-
-
 def test_weight_definitions_need_no_recursion_depth():
     n = 3000
     assert label_count([0] * n, 0, n) == n
     labels = [1] * 1000 + [2] * 1001 + [n - 1] * 999
     assert full_weight(labels, n, n - 1) == 1000 + 500 + 499
+
+
+# What the oracles may take from the package: data classes and the exception
+# that marks a precondition violation, never checker or solver code.
+DATA_ONLY = {
+    "ConnectivityTriple", "CutWitness", "ExtNat", "GcdTriple", "Graph", "INFINITY",
+    "MatchingTriple", "MatchingWitness", "PreconditionError", "SpTriple", "SpWitness",
+    "SpanningTreeWitness",
+}
+
+
+def test_oracles_import_only_data_classes_from_the_package():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    from_package = {
+        alias.name
+        for node in imports
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("certigraph"))
+        for alias in node.names
+    }
+    assert from_package and from_package <= DATA_ONLY, from_package - DATA_ONLY
+    plain = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(name.startswith("certigraph") for name in plain)

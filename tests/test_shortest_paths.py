@@ -156,10 +156,20 @@ def test_zero_cost_edge_keeps_witness_valid(zero_cycle_graph, zero_cycle_witness
 
 
 def test_mutation_killing_on_zero_cycle_witness(zero_cycle_graph, zero_cycle_witness):
-    t = SpTriple(zero_cycle_graph, zero_cycle_witness)
-    flips = list(sp_mutations(zero_cycle_graph, t))
+    g, w = zero_cycle_graph, zero_cycle_witness
+    flips = list(sp_mutations(g, SpTriple(g, w)))
     assert len(flips) > 50
-    for mutated in flips:
+    # Wrong lengths, an out-of-range endpoint and bad sources.
+    broken = [
+        SpTriple(g, replace(w, dist=w.dist[:-1])),
+        SpTriple(g, replace(w, num=w.num + (INFINITY,))),
+        SpTriple(g, replace(w, parent_edge=w.parent_edge[:-1])),
+        SpTriple(g, replace(w, cost=w.cost + (0,))),
+        SpTriple(Graph(5, g.edges[:-1] + ((4, 5),)), w),
+        SpTriple(g, replace(w, source=5)),
+        SpTriple(g, replace(w, source=-1)),
+    ]
+    for mutated in flips + broken:
         agree, checker_says, eval_says = verdicts_agree("sp", mutated)
         assert agree, (mutated.witness, checker_says, eval_says)
 

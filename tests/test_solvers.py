@@ -142,6 +142,14 @@ def test_matching_solver_odd_cycle():
     assert max(res.witness.osc) >= 2
 
 
+def test_solvers_refuse_vertex_counts_past_2_to_the_31_minus_1():
+    g = Graph(2**31, ())
+    for solve in (solve_connectivity, solve_max_matching, lambda g: solve_shortest_paths(g, (), 0)):
+        with pytest.raises(PreconditionError) as exc:
+            solve(g)
+        assert exc.value.clause == "vertex_limit"
+
+
 def test_matching_solver_preconditions():
     with pytest.raises(PreconditionError) as exc:
         solve_max_matching(Graph(2, [(0, 0)]))
