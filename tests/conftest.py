@@ -11,14 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from certigraph import (
-    ExtNat,
-    Graph,
-    INFINITY,
-    MatchingWitness,
-    SpWitness,
-    SpanningTreeWitness,
-)
+from certigraph.connectivity import SpanningTreeWitness
+from certigraph.extnat import INFINITY, ExtNat
+from certigraph.graph import Graph
+from certigraph.matching import MatchingWitness
+from certigraph.shortest_paths import SpWitness
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = DATA.parent.parent / "src"

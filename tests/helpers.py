@@ -12,24 +12,15 @@ import random
 from dataclasses import replace
 from typing import Iterator
 
-from certigraph import (
-    ConnectivityTriple,
-    CutWitness,
-    Graph,
-    INFINITY,
-    ExtNat,
-    MatchingTriple,
-    PreconditionError,
-    SpTriple,
-    check_connectivity,
-    check_gcd,
-    check_max_matching,
-    check_shortest_paths,
-    solve_connectivity,
-    solve_max_matching,
-    solve_shortest_paths,
-)
+from certigraph.connectivity import ConnectivityTriple, CutWitness, check_connectivity
+from certigraph.extnat import INFINITY, ExtNat
+from certigraph.gcd import check_gcd
+from certigraph.graph import Graph
+from certigraph.matching import MatchingTriple, check_max_matching
 from certigraph.oracles import eval_witness_predicate
+from certigraph.shortest_paths import SpTriple, check_shortest_paths
+from certigraph.solvers import solve_connectivity, solve_max_matching, solve_shortest_paths
+from certigraph.verdict import PreconditionError
 
 _CHECKERS = {
     "connected": check_connectivity,

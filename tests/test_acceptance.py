@@ -15,40 +15,44 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from certigraph import (
-    ConnectivityTriple,
-    ExtNat,
-    Graph,
-    INFINITY,
-    MatchingTriple,
-    MatchingWitness,
-    SpTriple,
-    SpWitness,
-    check_connectivity,
-    check_matching,
-    check_max_matching,
-    check_no_path,
-    check_osc,
-    check_shortest_paths,
-    check_start_val,
-    check_trian,
+from certigraph.connectivity import ConnectivityTriple, check_connectivity
+from certigraph.extnat import INFINITY, ExtNat
+from certigraph.formats import (
     parse_connectivity_witness,
     parse_graph,
     parse_matching_witness,
     parse_sp_witness,
-    solve_connectivity,
-    solve_gcd,
-    solve_max_matching,
-    solve_shortest_paths,
-    weight,
 )
 from certigraph.gcd import GcdTriple, check_gcd
+from certigraph.graph import Graph
+from certigraph.matching import (
+    MatchingTriple,
+    MatchingWitness,
+    check_matching,
+    check_max_matching,
+    check_osc,
+    weight,
+)
 from certigraph.oracles import (
     enumerate_graphs,
     enumerate_matchings,
     oracle_connected,
     oracle_max_matching_size,
     oracle_mu,
+)
+from certigraph.shortest_paths import (
+    SpTriple,
+    SpWitness,
+    check_no_path,
+    check_shortest_paths,
+    check_start_val,
+    check_trian,
+)
+from certigraph.solvers import (
+    solve_connectivity,
+    solve_gcd,
+    solve_max_matching,
+    solve_shortest_paths,
 )
 
 from conftest import DATA

@@ -17,8 +17,11 @@ import random
 
 import pytest
 
-from certigraph import Graph, MatchingTriple, blossom, check_max_matching, solve_max_matching
+from certigraph import blossom
 from certigraph.formats import serialize_matching_witness
+from certigraph.graph import Graph
+from certigraph.matching import MatchingTriple, check_max_matching
+from certigraph.solvers import solve_max_matching
 
 from helpers import random_loopless_graph
 

@@ -7,33 +7,35 @@ from the modules' clause tuples, so a reordered tuple fails these tests.
 import random
 from dataclasses import replace
 
-from certigraph import (
-    ACCEPT,
+from certigraph.connectivity import (
     ConnectivityTriple,
     CutWitness,
-    ExtNat,
-    Graph,
-    MatchingTriple,
-    MatchingWitness,
-    SpTriple,
     SpanningTreeWitness,
-    check_cardinality,
     check_connectivity,
     check_cut,
-    check_just,
-    check_matching,
-    check_max_matching,
-    check_no_path,
-    check_osc,
     check_parent_num,
     check_r,
+)
+from certigraph.extnat import ExtNat
+from certigraph.graph import Graph
+from certigraph.matching import (
+    MatchingTriple,
+    MatchingWitness,
+    check_cardinality,
+    check_matching,
+    check_max_matching,
+    check_osc,
+    check_subset,
+)
+from certigraph.shortest_paths import (
+    SpTriple,
+    check_just,
+    check_no_path,
     check_shortest_paths,
     check_start_val,
-    check_subset,
     check_trian,
-    reject,
 )
-from certigraph.verdict import first_rejection
+from certigraph.verdict import ACCEPT, first_rejection, reject
 
 from helpers import (
     connectivity_mutations,

@@ -3,18 +3,18 @@ from dataclasses import replace
 
 import pytest
 
-from certigraph import (
+from certigraph.connectivity import (
     ConnectivityTriple,
     CutWitness,
-    Graph,
-    PreconditionError,
     SpanningTreeWitness,
     check_connectivity,
     check_cut,
     check_parent_num,
     check_r,
 )
+from certigraph.graph import Graph
 from certigraph.oracles import enumerate_graphs
+from certigraph.verdict import PreconditionError
 
 from helpers import (
     connectivity_mutations,

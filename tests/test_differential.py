@@ -11,7 +11,10 @@ import random
 
 import pytest
 
-from certigraph import Graph, check_connectivity, check_max_matching, check_shortest_paths
+from certigraph.connectivity import check_connectivity
+from certigraph.graph import Graph
+from certigraph.matching import check_max_matching
+from certigraph.shortest_paths import check_shortest_paths
 
 from helpers import solver_triple
 

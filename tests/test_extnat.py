@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from certigraph import ExtNat, INFINITY
+from certigraph.extnat import INFINITY, ExtNat
 
 ext_nats = st.one_of(st.just(INFINITY), st.integers(0, 10**9).map(ExtNat))
 

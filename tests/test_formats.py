@@ -4,16 +4,12 @@ import random
 
 import pytest
 
-from certigraph import (
-    CutWitness,
-    GcdTriple,
-    Graph,
+from certigraph import formats
+from certigraph.connectivity import CutWitness, SpanningTreeWitness
+from certigraph.formats import (
     LengthMismatchError,
-    MatchingWitness,
     ParseError,
-    SpanningTreeWitness,
     WellformednessError,
-    formats,
     parse_connectivity_witness,
     parse_gcd_line,
     parse_graph,
@@ -24,6 +20,11 @@ from certigraph import (
     serialize_graph,
     serialize_matching_witness,
     serialize_sp_witness,
+)
+from certigraph.gcd import GcdTriple
+from certigraph.graph import Graph
+from certigraph.matching import MatchingWitness
+from certigraph.solvers import (
     solve_connectivity,
     solve_gcd,
     solve_max_matching,

@@ -3,8 +3,10 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from certigraph import GcdTriple, PreconditionError, check_gcd, solve_gcd
+from certigraph.gcd import GcdTriple, check_gcd
 from certigraph.oracles import eval_witness_predicate
+from certigraph.solvers import solve_gcd
+from certigraph.verdict import PreconditionError
 
 from helpers import verdicts_agree
 

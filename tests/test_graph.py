@@ -2,12 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from certigraph import (
-    Graph,
-    has_no_duplicate_edges,
-    has_no_self_loops,
-    wellformed,
-)
+from certigraph.graph import Graph, has_no_duplicate_edges, has_no_self_loops, wellformed
 
 
 @st.composite

@@ -4,19 +4,19 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from certigraph import (
-    Graph,
+from certigraph.graph import Graph
+from certigraph.matching import (
     MatchingTriple,
     MatchingWitness,
-    PreconditionError,
     check_matching,
     check_max_matching,
     check_osc,
     check_subset,
+    require_matching_inputs,
     weight,
 )
-from certigraph.matching import require_matching_inputs
 from certigraph.oracles import enumerate_graphs, full_weight, oracle_max_matching_size
+from certigraph.verdict import PreconditionError
 
 from helpers import (
     matching_mutations,

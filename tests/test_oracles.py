@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from certigraph import Graph, oracles, solve_connectivity, solve_shortest_paths
+from certigraph import oracles
+from certigraph.graph import Graph
 from certigraph.oracles import (
     InstanceTooLargeError,
     enumerate_graphs,
@@ -15,6 +16,7 @@ from certigraph.oracles import (
     oracle_max_matching_size,
     oracle_mu,
 )
+from certigraph.solvers import solve_connectivity, solve_shortest_paths
 
 from helpers import random_digraph, random_multigraph
 

@@ -3,11 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from certigraph import (
-    INFINITY,
-    ExtNat,
-    Graph,
-    PreconditionError,
+from certigraph.extnat import INFINITY, ExtNat
+from certigraph.graph import Graph
+from certigraph.oracles import enumerate_graphs, oracle_mu
+from certigraph.shortest_paths import (
     SpTriple,
     SpWitness,
     check_just,
@@ -16,7 +15,7 @@ from certigraph import (
     check_start_val,
     check_trian,
 )
-from certigraph.oracles import enumerate_graphs, oracle_mu
+from certigraph.verdict import PreconditionError
 
 from helpers import mutation_sample, random_digraph, solver_triple, sp_mutations, verdicts_agree
 

@@ -2,24 +2,19 @@ import random
 
 import pytest
 
-from certigraph import (
-    ConnectivityTriple,
-    CutWitness,
-    ExtNat,
-    Graph,
-    INFINITY,
-    MatchingTriple,
-    PreconditionError,
-    SpTriple,
-    check_connectivity,
-    check_max_matching,
-    check_shortest_paths,
+from certigraph.connectivity import ConnectivityTriple, CutWitness, check_connectivity
+from certigraph.extnat import INFINITY, ExtNat
+from certigraph.graph import Graph
+from certigraph.matching import MatchingTriple, check_max_matching
+from certigraph.oracles import oracle_connected, oracle_max_matching_size, oracle_mu
+from certigraph.shortest_paths import SpTriple, check_shortest_paths
+from certigraph.solvers import (
     solve_connectivity,
     solve_gcd,
     solve_max_matching,
     solve_shortest_paths,
 )
-from certigraph.oracles import oracle_connected, oracle_max_matching_size, oracle_mu
+from certigraph.verdict import PreconditionError
 
 from helpers import random_digraph, random_loopless_graph, random_multigraph
 
