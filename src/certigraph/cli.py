@@ -83,13 +83,7 @@ def _check_sp(args: argparse.Namespace) -> Verdict:
 
     g, cost = formats.parse_graph(_read(args.graph_file))
     if cost is None:
-        # A zero-edge graph has the (empty) cost vector whether or not a
-        # cost column is present; with edges, the column is mandatory.
-        if g.num_edges > 0:
-            raise formats.ParseError(
-                "check-sp needs explicit edge costs in the graph file"
-            )
-        cost = ()
+        raise formats.ParseError("check-sp needs explicit edge costs in the graph file")
     w = formats.parse_sp_witness(_read(args.witness_file), g, cost)
     return check_shortest_paths(SpTriple(g, w))
 

@@ -155,7 +155,7 @@ def _misfit(layout: _Layout) -> re.Pattern[str]:
 def _column(tokens: list[str], word: str | None) -> list:
     """The values of a column of well-formed tokens (see ``_Layout``), mostly in C."""
     if word == "INF":  # ExtNat is frozen and distances repeat: read each distinct token once
-        from .extnat import ExtNat
+        from .shortest_paths import ExtNat
 
         ext = {tok: ExtNat(None if tok == word else _digits_value(tok)) for tok in {*tokens}}
         return list(map(ext.__getitem__, tokens))
@@ -260,7 +260,7 @@ def _edge_line(widths: set[int], head: list[int], lineno: int, toks: list[str]) 
 
 
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
-    """Parse a graph file; returns the graph and its costs, if present."""
+    """Parse a graph file; returns the graph and its costs (None if edges lack them)."""
     from .graph import Graph
 
     first = text.find("\n") + 1
@@ -270,7 +270,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     if not read or max(max(read[1][0]), max(read[1][1])) >= read[0][0]:
         read = _by_line(text, _EDGES[3], check=functools.partial(_edge_line, set()))
     (n, _), (src, trg, *cost), _ = read
-    return Graph(n, zip(src, trg)), tuple(cost[0]) if cost and cost[0] else None
+    return Graph(n, zip(src, trg)), tuple(cost[0]) if cost else None
 
 
 def _cut_line(seen: set[int], head: list[int], lineno: int, toks: list[str]) -> None:

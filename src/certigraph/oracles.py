@@ -17,16 +17,18 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .connectivity import ConnectivityTriple, CutWitness, SpanningTreeWitness
-from .extnat import INFINITY, ExtNat
 from .gcd import GcdTriple
 from .graph import Graph
 from .matching import MatchingTriple
-from .shortest_paths import SpTriple
+from .shortest_paths import INFINITY, ExtNat, SpTriple
 from .verdict import PreconditionError
 
 
 class InstanceTooLargeError(ValueError):
     """The instance exceeds the configured exhaustive-search bound."""
+
+
+MAX_PAIRS = 16  # enumerate_graphs yields 2**p graphs over p candidate pairs
 
 
 def oracle_connected(g: Graph) -> bool:
@@ -87,12 +89,11 @@ def enumerate_graphs(
     *,
     directed: bool = False,
     self_loops: bool = False,
-    max_pairs: int = 16,
 ) -> Iterator[Graph]:
     """Every graph on ``num_verts`` vertices over the chosen pair universe.
 
     Undirected universes keep one canonical record per pair (src <= trg).
-    Yields all 2**p edge subsets, so the universe size p is guarded.
+    Yields all 2**p edge subsets, so a universe of more than ``MAX_PAIRS`` pairs is refused.
     """
     pairs = [
         (u, v)
@@ -100,9 +101,9 @@ def enumerate_graphs(
         for v in range(num_verts)
         if (directed or u <= v) and (self_loops or u != v)
     ]
-    if len(pairs) > max_pairs:
+    if len(pairs) > MAX_PAIRS:
         raise InstanceTooLargeError(
-            f"{len(pairs)} candidate pairs exceeds the enumeration bound {max_pairs}"
+            f"{len(pairs)} candidate pairs exceeds the enumeration bound {MAX_PAIRS}"
         )
     for bits in range(1 << len(pairs)):
         yield Graph(num_verts, [p for i, p in enumerate(pairs) if bits >> i & 1])

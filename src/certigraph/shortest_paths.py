@@ -17,17 +17,58 @@ equality holds; the strictly decreasing depth chain is what rules such
 cycles out. Dropping the depth conjunct makes the checker unsound (see the
 acceptance tests for a forged witness it would accept).
 
-All arithmetic is exact: distances are :class:`~certigraph.extnat.ExtNat`
-(unbounded naturals plus infinity), so no comparison ever overflows.
+All arithmetic is exact: distances are :class:`ExtNat` (unbounded
+naturals plus infinity), so no comparison ever overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extnat import ExtNat
 from .graph import Graph, require_wellformed
 from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject, shown
+
+
+@dataclass(frozen=True, slots=True)
+class ExtNat:
+    """A nonnegative integer or infinity (encoded as ``value = None``).
+
+    Supports the total order of the extended naturals and addition, with
+    infinity absorbing: ``INFINITY + k == INFINITY`` for every k.
+    """
+
+    value: int | None
+
+    def __post_init__(self) -> None:
+        if self.value is not None:
+            if not isinstance(self.value, int) or isinstance(self.value, bool):
+                raise TypeError(f"finite ExtNat needs an int, got {self.value!r}")
+            if self.value < 0:
+                raise ValueError(f"ExtNat must be nonnegative, got {self.value}")
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.value is None
+
+    def __add__(self, other: ExtNat | int) -> ExtNat:
+        k = other.value if isinstance(other, ExtNat) else other
+        if k is not None and k < 0:
+            raise ValueError(f"cannot add negative {k} to an ExtNat")
+        if self.value is None or k is None:
+            return INFINITY
+        return ExtNat(self.value + k)
+
+    def __le__(self, other: ExtNat) -> bool:
+        # Everything is <= infinity; otherwise both sides must be finite.
+        if other.value is None:
+            return True
+        return self.value is not None and self.value <= other.value
+
+    def __lt__(self, other: ExtNat) -> bool:
+        return self <= other and self != other
+
+
+INFINITY = ExtNat(None)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ from .verdict import PreconditionError, shown
 
 if TYPE_CHECKING:
     from .connectivity import ConnectivityWitness
-    from .extnat import ExtNat
     from .graph import Graph
     from .matching import MatchingWitness
-    from .shortest_paths import SpWitness
+    from .shortest_paths import ExtNat, SpWitness
 
 Y = TypeVar("Y")
 W = TypeVar("W")
@@ -100,8 +99,7 @@ def solve_shortest_paths(
     """
     import heapq
 
-    from .extnat import INFINITY, ExtNat
-    from .shortest_paths import SpWitness, require_sp_inputs
+    from .shortest_paths import INFINITY, ExtNat, SpWitness, require_sp_inputs
 
     require_sp_inputs(g, source)
     n = g.num_verts

@@ -12,10 +12,9 @@ from pathlib import Path
 import pytest
 
 from certigraph.connectivity import SpanningTreeWitness
-from certigraph.extnat import INFINITY, ExtNat
 from certigraph.graph import Graph
 from certigraph.matching import MatchingWitness
-from certigraph.shortest_paths import SpWitness
+from certigraph.shortest_paths import INFINITY, ExtNat, SpWitness
 
 DATA = Path(__file__).resolve().parent / "data"
 SRC = DATA.parent.parent / "src"

@@ -13,12 +13,11 @@ from dataclasses import replace
 from typing import Iterator
 
 from certigraph.connectivity import ConnectivityTriple, CutWitness, check_connectivity
-from certigraph.extnat import INFINITY, ExtNat
 from certigraph.gcd import check_gcd
 from certigraph.graph import Graph
 from certigraph.matching import MatchingTriple, check_max_matching
 from certigraph.oracles import eval_witness_predicate
-from certigraph.shortest_paths import SpTriple, check_shortest_paths
+from certigraph.shortest_paths import INFINITY, ExtNat, SpTriple, check_shortest_paths
 from certigraph.solvers import solve_connectivity, solve_max_matching, solve_shortest_paths
 from certigraph.verdict import PreconditionError
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import pytest
 
 from certigraph.connectivity import ConnectivityTriple, check_connectivity
-from certigraph.extnat import INFINITY, ExtNat
 from certigraph.formats import (
     parse_connectivity_witness,
     parse_graph,
@@ -41,6 +40,8 @@ from certigraph.oracles import (
     oracle_mu,
 )
 from certigraph.shortest_paths import (
+    INFINITY,
+    ExtNat,
     SpTriple,
     SpWitness,
     check_no_path,

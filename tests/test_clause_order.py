@@ -16,7 +16,6 @@ from certigraph.connectivity import (
     check_parent_num,
     check_r,
 )
-from certigraph.extnat import ExtNat
 from certigraph.graph import Graph
 from certigraph.matching import (
     MatchingTriple,
@@ -28,6 +27,7 @@ from certigraph.matching import (
     check_subset,
 )
 from certigraph.shortest_paths import (
+    ExtNat,
     SpTriple,
     check_just,
     check_no_path,

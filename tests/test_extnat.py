@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from certigraph.extnat import INFINITY, ExtNat
+from certigraph.shortest_paths import INFINITY, ExtNat
 
 ext_nats = st.one_of(st.just(INFINITY), st.integers(0, 10**9).map(ExtNat))
 
@@ -38,11 +38,6 @@ def test_order_examples():
     assert INFINITY > ExtNat(4) > ExtNat(3)
     assert not ExtNat(3) > ExtNat(3)
     assert not ExtNat(3) >= INFINITY
-
-
-def test_str_forms():
-    assert str(INFINITY) == "INF"
-    assert str(ExtNat(42)) == "42"
 
 
 @given(ext_nats, ext_nats)

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from certigraph.extnat import INFINITY, ExtNat
 from certigraph.graph import Graph
 from certigraph.oracles import enumerate_graphs, oracle_mu
 from certigraph.shortest_paths import (
+    INFINITY,
+    ExtNat,
     SpTriple,
     SpWitness,
     check_just,

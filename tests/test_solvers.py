@@ -3,11 +3,10 @@ import random
 import pytest
 
 from certigraph.connectivity import ConnectivityTriple, CutWitness, check_connectivity
-from certigraph.extnat import INFINITY, ExtNat
 from certigraph.graph import Graph
 from certigraph.matching import MatchingTriple, check_max_matching
 from certigraph.oracles import oracle_connected, oracle_max_matching_size, oracle_mu
-from certigraph.shortest_paths import SpTriple, check_shortest_paths
+from certigraph.shortest_paths import INFINITY, ExtNat, SpTriple, check_shortest_paths
 from certigraph.solvers import (
     solve_connectivity,
     solve_gcd,
