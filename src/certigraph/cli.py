@@ -142,8 +142,8 @@ def _solve_gcd(args: argparse.Namespace) -> str:
 _COMMANDS = (
     ("check-connected", "verify a spanning-tree or cut witness", _check_connected,
      ("graph_file", "witness_file")),
-    ("check-sp", "verify a shortest-path witness (graph file must carry costs)", _check_sp,
-     ("graph_file", "witness_file")),
+    ("check-sp", "verify a shortest-path witness (graph file must carry costs unless it "
+     "has no edges)", _check_sp, ("graph_file", "witness_file")),
     ("check-matching", "verify a maximum-matching witness", _check_matching,
      ("graph_file", "witness_file")),
     ("check-gcd", "verify a gcd witness line", _check_gcd, ("gcd_file",)),

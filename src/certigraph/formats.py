@@ -27,7 +27,8 @@ changed.
 The graph, tree, cut, sp and matching formats are one ``_Layout`` each.
 ``_write`` writes any of them (single spaces, ``\n`` line ends, no blank
 line). ``_in_bulk`` reads that form with a regular expression scan, one
-``split`` and C-level slices, and gives None for any other file.
+``json`` decode and C-level slices. It gives None for any other file and
+for numbers ``json`` refuses: leading zeros, or past the digit limit.
 ``_by_line`` reads every file row by row; it defines what is accepted and
 gives every error message. A row check per kind adds what no layout
 states: graph lines and their endpoints, and no repeated cut vertex.
@@ -127,9 +128,9 @@ _Layout.__doc__ = """A file kind: a tag line, then one row of ``columns`` per re
 
 The tag line holds ``values`` numbers, the last of which counts the rows,
 unless there is one row per vertex (``per_vertex``). A column is None for
-numbers, or the one word it also takes: ``-`` reads as None, and ``INF``
-makes the values ExtNat. With ``labels``, a line of n numbers follows the
-rows. ``row_error`` and ``what`` go into error messages.
+numbers, or the one word it also takes (``-`` or ``INF``), which reads as
+None. With ``labels``, a line of n numbers follows the rows. ``row_error``
+and ``what`` go into error messages.
 """
 _EDGE_ERROR = "expected 'src trg' or 'src trg cost'"
 _EDGES = {w: _Layout("graph", 2, False, (None,) * w, _EDGE_ERROR, "edge") for w in (2, 3)}
@@ -154,11 +155,6 @@ def _misfit(layout: _Layout) -> re.Pattern[str]:
 
 def _column(tokens: list[str], word: str | None) -> list:
     """The values of a column of well-formed tokens (see ``_Layout``), mostly in C."""
-    if word == "INF":  # ExtNat is frozen and distances repeat: read each distinct token once
-        from .shortest_paths import ExtNat
-
-        ext = {tok: ExtNat(None if tok == word else _digits_value(tok)) for tok in {*tokens}}
-        return list(map(ext.__getitem__, tokens))
     try:
         if word is None:
             return list(map(int, tokens))
@@ -191,13 +187,19 @@ def _in_bulk(text: str, layout: _Layout, n: int | None = None) -> _Read | None:
         return None
     if start <= end and _misfit(layout).search(text, start, end):
         return None
-    tokens = text[start:end].split()
-    width = len(layout.columns)
-    values = _column(head[1:], None)
-    if len(tokens) != width * (n if layout.per_vertex else values[-1]):
+    import json  # here, not at the top: importing the CLI does not load it
+
+    doc = "[%s]" % text[len(layout.tag) + 1 : -1].replace(" ", ",").replace("\n", ",")
+    try:
+        values = json.loads(doc.replace("-", "null").replace("INF", "null"))
+    except ValueError:  # a leading zero or a number past the digit limit: _by_line reads it
         return None
-    columns = [_column(tokens[i::width], word) for i, word in enumerate(layout.columns)]
-    return values, columns, _column(labels, None)
+    width, first = len(layout.columns), layout.values  # the rows' values start at first
+    last = first + width * (n if layout.per_vertex else values[first - 1])
+    if len(values) != last + len(labels):
+        return None
+    columns = [values[first + i : last : width] for i in range(width)]
+    return values[:first], columns, values[last:]
 
 
 def _by_line(
@@ -300,11 +302,11 @@ def parse_connectivity_witness(text: str, g: Graph) -> ConnectivityWitness:
 
 def parse_sp_witness(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
     """Parse a shortest-path witness; costs come from the graph file."""
-    from .shortest_paths import SpWitness
+    from .shortest_paths import SpWitness, extnat_column
 
     n = g.num_verts
     (source,), (dist, num, parent_edge), _ = _in_bulk(text, _SP, n) or _by_line(text, _SP, n)
-    return SpWitness(source, dist, num, parent_edge, cost)
+    return SpWitness(source, extnat_column(dist), extnat_column(num), parent_edge, cost)
 
 
 def parse_matching_witness(text: str, g: Graph) -> MatchingWitness:

@@ -71,6 +71,12 @@ class ExtNat:
 INFINITY = ExtNat(None)
 
 
+def extnat_column(values: list[int | None]) -> list[ExtNat]:
+    """``ExtNat(v)`` for each v (None is infinity), made once per distinct value."""
+    made = {v: ExtNat(v) for v in {*values}}
+    return list(map(made.__getitem__, values))
+
+
 @dataclass(frozen=True)
 class SpWitness:
     """Claimed shortest-path data for every vertex, plus the edge costs.

@@ -99,7 +99,7 @@ def solve_shortest_paths(
     """
     import heapq
 
-    from .shortest_paths import INFINITY, ExtNat, SpWitness, require_sp_inputs
+    from .shortest_paths import SpWitness, extnat_column, require_sp_inputs
 
     require_sp_inputs(g, source)
     n = g.num_verts
@@ -131,8 +131,8 @@ def solve_shortest_paths(
                 heapq.heappush(heap, (nd, u))
     witness = SpWitness(
         source=source,
-        dist=tuple(ExtNat(d) for d in dist),
-        num=tuple(INFINITY if k is None else ExtNat(k) for k in depth),
+        dist=extnat_column(dist),
+        num=extnat_column(depth),
         parent_edge=tuple(parent_edge),
         cost=tuple(cost),
     )

@@ -339,7 +339,7 @@ def test_check_loads_only_its_own_checker(command, problem, files):
 
 
 # Lines of certigraph code each check command loads on tests/data, as last measured.
-TRUSTED_BASE = {"check-connected": 820, "check-sp": 862, "check-matching": 838, "check-gcd": 675}
+TRUSTED_BASE = {"check-connected": 822, "check-sp": 870, "check-matching": 840, "check-gcd": 677}
 
 
 @pytest.mark.parametrize("command, problem, files", CHECK_RUNS)
@@ -349,6 +349,33 @@ def test_trusted_base_stays_within_its_pinned_size(command, problem, files):
     change that raises a bound must state the new bound and why in CHANGES.md."""
     _, lines = fresh_run(command, *(str(DATA / f) for f in files))
     assert lines <= TRUSTED_BASE[command]
+
+
+JSON_LOADED = """
+import contextlib, io, sys
+from certigraph.cli import cli_main
+print("json" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli_main(sys.argv[1:])
+print("json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, files, after",
+    [
+        ("check-gcd", ["gcd_example.gcd"], "False"),
+        ("check-sp", ["sp_zero_cycle.graph", "sp_zero_cycle.sp"], "True"),
+    ],
+)
+def test_json_is_loaded_only_by_the_bulk_reader(command, files, after):
+    """The benchmark's ``setup_s`` times ``import certigraph.cli``, so the
+    bulk reader imports ``json`` when it runs; a gcd check never does."""
+    proc = subprocess.run(
+        [sys.executable, "-c", JSON_LOADED, command, *(str(DATA / f) for f in files)],
+        cwd=SRC, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.split() == ["False", after], proc.stderr
 
 
 @pytest.mark.parametrize(

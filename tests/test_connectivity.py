@@ -74,6 +74,12 @@ def test_check_cut(demo_graph, zero_cycle_graph):
     assert not check_cut(zero_cycle_graph, CutWitness(frozenset({7})))
 
 
+def test_cut_rejects_the_vertex_n():
+    # {n} is not a vertex set: without the range check no edge crosses it.
+    v = check_cut(Graph(2, [(0, 1)]), CutWitness(frozenset({2})))
+    assert (v.accepted, v.clause) == (False, "cut")
+
+
 def test_cut_rejects_on_single_vertex_graph():
     g = Graph(1, [])
     assert not check_cut(g, CutWitness(frozenset({0})))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from certigraph.shortest_paths import INFINITY, ExtNat
+from certigraph.shortest_paths import INFINITY, ExtNat, extnat_column
 
 ext_nats = st.one_of(st.just(INFINITY), st.integers(0, 10**9).map(ExtNat))
 
@@ -13,6 +13,13 @@ def test_construction_rejects_negative():
     for not_an_int in (1.0, "1", True):
         with pytest.raises(TypeError):
             ExtNat(not_an_int)
+
+
+def test_column_makes_one_value_per_distinct_number():
+    col = extnat_column([3, None, 3, 10**5000, None])
+    assert col == [ExtNat(3), INFINITY, ExtNat(3), ExtNat(10**5000), INFINITY]
+    assert col[0] is col[2] and col[1] is col[4]
+    assert extnat_column([]) == []
 
 
 def test_addition_absorbs_infinity():

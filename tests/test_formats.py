@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -343,6 +344,70 @@ def test_serializer_output_takes_the_bulk_readers(monkeypatch):
     assert parse_connectivity_witness(cut_text, g) == cut
     assert parse_matching_witness(matching_text, gl) == matching
     assert matching.matching.num_edges > 1000
+
+
+# Tokens json reads but the formats refuse. The bulk reader decodes every
+# number with one json pass after its scan, so the scan alone must keep
+# these out, in every column and in the tag line's values.
+_JSON_TOKENS = (
+    "-3", "1e5", "1E5", "1.0", "true", "null", "NaN", "Infinity", "0x1", "[1]", '"1"', "1,2"
+)
+
+
+def _in_every_column(text: str, tok: str, rng: random.Random) -> list[str]:
+    """``text`` with ``tok`` in one place at a time: each tag line value, and
+    each column of one row and of the last line (the labels, for matching)."""
+    lines = text.split("\n")[:-1]
+    out = []
+    for i in sorted({0, rng.randrange(len(lines)), len(lines) - 1}):
+        toks = lines[i].split(" ")
+        for j in range(1 if i == 0 else 0, len(toks)):
+            line = " ".join(toks[:j] + [tok] + toks[j + 1 :])
+            out.append("\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n")
+    return out
+
+
+def _read_both_ways(monkeypatch, rng: random.Random, tokens) -> list[tuple[str, tuple]]:
+    """(kind, outcome) of each file of each kind with each token in every
+    column; the outcome must not change when ``_in_bulk`` refuses every file,
+    which it does from here on."""
+    cases = [
+        (kind, mutant, parse, ctx)
+        for kind, text, parse, ctx in _format_cases(rng)
+        for tok in tokens
+        for mutant in _in_every_column(text, tok, rng)
+    ]
+    got = [_outcome(parse, mutant, *ctx) for _, mutant, parse, ctx in cases]
+    monkeypatch.setattr(formats, "_in_bulk", lambda *args: None)
+    for (kind, mutant, parse, ctx), outcome in zip(cases, got):
+        assert outcome == _outcome(parse, mutant, *ctx), (kind, mutant)
+    return [(case[0], outcome) for case, outcome in zip(cases, got)]
+
+
+def test_tokens_json_reads_are_refused_as_by_line(monkeypatch):
+    outcomes = _read_both_ways(monkeypatch, random.Random(1301), _JSON_TOKENS)
+    assert [(kind, o) for kind, o in outcomes if o[0] == "value"] == []
+    assert {kind for kind, _ in outcomes} == {"graph2", "graph3", "tree", "cut", "sp", "matching"}
+
+
+def test_numbers_json_refuses_are_read_by_line(monkeypatch):
+    # json refuses a leading zero and a number past the interpreter's digit
+    # limit; the bulk reader then gives None, and the per-line reader reads
+    # the same values.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or float("inf")
+    g = Graph(3, [(0, 1), (1, 2)])
+    texts = {}
+    for digits in (4300, 4301):
+        cost = (10**digits - 1, 5)
+        texts[f"{digits} digits"] = serialize_graph(g, cost), (g, cost), digits > limit
+    texts["007"] = serialize_graph(g, (7, 5)).replace(" 7\n", " 007\n"), (g, (7, 5)), True
+    for name, (text, expected, by_line) in texts.items():
+        assert (formats._in_bulk(text, formats._EDGES[3]) is None) == by_line, name
+        assert parse_graph(text) == expected, name
+    outcomes = _read_both_ways(monkeypatch, random.Random(7), ("007",))
+    assert sum(o[0] == "value" for _, o in outcomes) > len(outcomes) // 4
+    for name, (text, expected, _) in texts.items():
+        assert parse_graph(text) == expected, name
 
 
 _SERIALIZERS = {

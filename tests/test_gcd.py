@@ -28,6 +28,12 @@ def test_rejects_non_divisor():
     assert v.clause == "combination"
 
 
+def test_rejects_zero_as_the_gcd_of_nonzero_numbers():
+    # 0 = 1*1 + (-1)*1 is a combination, but 0 divides only 0.
+    v = check_gcd(GcdTriple(1, 1, 0, 1, -1))
+    assert (v.accepted, v.clause) == (False, "divides_a")
+
+
 def test_rejects_common_divisor_without_combination():
     # 2 divides both 12 and 8 but cannot be written better than via the
     # claimed coefficients; with s = t = 0 the combination clause fails.

@@ -30,6 +30,13 @@ def test_wellformed(demo_graph):
     assert wellformed(Graph(0, []))
 
 
+def test_wellformed_refuses_an_endpoint_equal_to_n():
+    # Each side on its own, so that neither bound can be relaxed to <= n.
+    assert not wellformed(Graph(2, [(2, 0)]))
+    assert not wellformed(Graph(2, [(0, 2)]))
+    assert wellformed(Graph(2, [(1, 0), (0, 1)]))
+
+
 def test_self_loops(demo_graph):
     assert not has_no_self_loops(demo_graph)  # edge 9 is (1, 1)
     assert has_no_self_loops(Graph(3, [(0, 1), (1, 2)]))
