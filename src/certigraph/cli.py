@@ -8,8 +8,9 @@ stdout lines ``ACCEPT`` / ``REJECT: <clause>`` / ``ERROR: <reason>`` are a
 stable interface. Any other exception is an internal error: nothing on
 stdout, one line on stderr, exit 3.
 
-Each command imports its checker or solver when it runs, so a process
-loads the parser and the one problem module it needs and nothing else.
+Importing this module loads only ``verdict`` from the package. Each command
+imports its reader and its checker or solver when it runs, so a process loads
+the one problem module it needs, and a gcd command loads no graph code.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import formats
-from .verdict import PreconditionError, Verdict
+from .verdict import ParseError, PreconditionError, Verdict
 
 
 def main() -> None:
@@ -53,7 +53,7 @@ def cli_main(argv: list[str]) -> int:
         else:
             sys.stdout.write(result)
         return 0
-    except (formats.ParseError, PreconditionError, OSError) as exc:
+    except (ParseError, PreconditionError, OSError) as exc:
         print(f"ERROR: {exc}")
         return 2
     except Exception as exc:  # no verdict, so never exit 1 ("a clause failed")
@@ -66,10 +66,11 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise formats.ParseError(f"{path}: byte {exc.start} does not decode: {exc.reason}")
+        raise ParseError(f"{path}: byte {exc.start} does not decode: {exc.reason}")
 
 
 def _check_connected(args: argparse.Namespace) -> Verdict:
+    from . import formats
     from .connectivity import ConnectivityTriple, SpanningTreeWitness, check_connectivity
 
     g, _ = formats.parse_graph(_read(args.graph_file))
@@ -79,16 +80,18 @@ def _check_connected(args: argparse.Namespace) -> Verdict:
 
 
 def _check_sp(args: argparse.Namespace) -> Verdict:
+    from . import formats
     from .shortest_paths import SpTriple, check_shortest_paths
 
     g, cost = formats.parse_graph(_read(args.graph_file))
     if cost is None:
-        raise formats.ParseError("check-sp needs explicit edge costs in the graph file")
+        raise ParseError("check-sp needs explicit edge costs in the graph file")
     w = formats.parse_sp_witness(_read(args.witness_file), g, cost)
     return check_shortest_paths(SpTriple(g, w))
 
 
 def _check_matching(args: argparse.Namespace) -> Verdict:
+    from . import formats
     from .matching import MatchingTriple, check_max_matching
 
     g, _ = formats.parse_graph(_read(args.graph_file))
@@ -97,13 +100,14 @@ def _check_matching(args: argparse.Namespace) -> Verdict:
 
 
 def _check_gcd(args: argparse.Namespace) -> Verdict:
-    from .gcd import check_gcd
+    from .gcd import check_gcd, parse_gcd_line
 
-    triple = formats.parse_gcd_line(_read(args.gcd_file))
+    triple = parse_gcd_line(_read(args.gcd_file))
     return check_gcd(triple)
 
 
 def _solve_connected(args: argparse.Namespace) -> str:
+    from . import formats
     from .solvers import solve_connectivity
 
     g, _ = formats.parse_graph(_read(args.graph_file))
@@ -112,6 +116,7 @@ def _solve_connected(args: argparse.Namespace) -> str:
 
 
 def _solve_sp(args: argparse.Namespace) -> str:
+    from . import formats
     from .solvers import solve_shortest_paths
 
     g, cost = formats.parse_graph(_read(args.graph_file))
@@ -122,6 +127,7 @@ def _solve_sp(args: argparse.Namespace) -> str:
 
 
 def _solve_matching(args: argparse.Namespace) -> str:
+    from . import formats
     from .solvers import solve_max_matching
 
     g, _ = formats.parse_graph(_read(args.graph_file))
@@ -130,12 +136,12 @@ def _solve_matching(args: argparse.Namespace) -> str:
 
 
 def _solve_gcd(args: argparse.Namespace) -> str:
-    from .gcd import GcdTriple
+    from .gcd import GcdTriple, serialize_gcd
     from .solvers import solve_gcd
 
     result = solve_gcd(args.a, args.b)
     s, t = result.witness
-    return formats.serialize_gcd(GcdTriple(args.a, args.b, result.output, s, t))
+    return serialize_gcd(GcdTriple(args.a, args.b, result.output, s, t))
 
 
 # One row per command, in --help order: name, help text, handler, operands.

@@ -1,10 +1,9 @@
-"""Plain-text file formats for graphs, witnesses, and gcd instances.
+"""Plain-text file formats for graphs and their witnesses.
 
 All files are line-based with whitespace-separated tokens. Trailing
 whitespace and trailing blank lines are tolerated; anything else is
 rejected with a line number. ``-`` encodes a missing parent edge and
-``INF`` an infinite value; negative integers are rejected everywhere
-except the Bezout coefficients of a gcd line, which are signed by nature.
+``INF`` an infinite value; negative integers are rejected everywhere.
 
 Formats (first line is a tag line):
 
@@ -15,14 +14,13 @@ Formats (first line is a tag line):
 * sp:        ``sp <source>`` then n lines ``<dist|INF> <num|INF> <edge-id|->``
 * matching:  ``matching <m_M>`` then m_M lines ``<src> <trg> <f>`` then one
   line of n labels (omitted when n = 0)
-* gcd:       ``gcd <a> <b> <g> <s> <t>``
 
 Edge costs live in the graph file; shortest-path witness files reference
 them implicitly, so parsing one requires the graph (and its costs).
 
 Numbers have no digit limit in either direction: long tokens are read and
-written in pieces, and the interpreter's int/str digit limit is never
-changed.
+written in pieces (``numerals``), and the interpreter's int/str digit limit
+is never changed.
 
 The graph, tree, cut, sp and matching formats are one ``_Layout`` each.
 ``_write`` writes any of them (single spaces, ``\n`` line ends, no blank
@@ -33,8 +31,8 @@ for numbers ``json`` refuses: leading zeros, or past the digit limit.
 gives every error message. A row check per kind adds what no layout
 states: graph lines and their endpoints, and no repeated cut vertex.
 
-Each reader imports the classes it builds when it runs, so reading a gcd
-line loads no graph module and reading a graph loads no witness checker.
+Each witness reader imports the classes it builds when it runs, so reading
+a graph loads no witness checker.
 """
 
 from __future__ import annotations
@@ -44,22 +42,18 @@ import functools
 import re
 from typing import TYPE_CHECKING
 
-from .verdict import PreconditionError
+from .graph import Graph
+from .numerals import _decimal, _digits_value, _nat, _rows
+from .verdict import ParseError, PreconditionError
 
 if TYPE_CHECKING:
     from typing import Callable, Sequence
 
     from .connectivity import ConnectivityWitness
-    from .gcd import GcdTriple
-    from .graph import Graph
     from .matching import MatchingWitness
     from .shortest_paths import SpWitness
 
     _Check = Callable[[list[int], int, list[str]], None]  # a row check, see _by_line
-
-
-class ParseError(ValueError):
-    """The file does not conform to its format."""
 
 
 class LengthMismatchError(ParseError):
@@ -68,57 +62,6 @@ class LengthMismatchError(ParseError):
 
 class WellformednessError(PreconditionError):
     """A graph file names an endpoint outside its own vertex range."""
-
-
-def _rows(text: str) -> list[tuple[int, list[str]]]:
-    rows = [(i, raw.split()) for i, raw in enumerate(text.splitlines(), start=1)]
-    while rows and not rows[-1][1]:
-        rows.pop()
-    for lineno, toks in rows:
-        if not toks:
-            raise ParseError(f"line {lineno}: blank line inside the file")
-    return rows
-
-
-_SAFE_DIGITS = 640  # the lowest digit limit CPython can be set to
-
-
-def _digits_value(digits: str) -> int:
-    """The value of an ASCII digit string of any length.
-
-    Long strings are split in halves until each piece is short enough for
-    ``int`` under any digit limit.
-    """
-    if len(digits) <= _SAFE_DIGITS:
-        return int(digits)
-    low = len(digits) // 2
-    return _digits_value(digits[:-low]) * 10**low + _digits_value(digits[-low:])
-
-
-def _decimal(x: int) -> str:
-    """``str(x)`` for an int of any size, whatever the digit limit."""
-    try:
-        return str(x)
-    except ValueError:  # past the limit: write the halves
-        pass
-    if x < 0:
-        return "-" + _decimal(-x)
-    low = x.bit_length() * 3 // 20  # about half the digits, as log10(2) ~ 0.3
-    high, rest = divmod(x, 10**low)
-    return _decimal(high) + _decimal(rest).zfill(low)
-
-
-def _nat(token: str, lineno: int) -> int:
-    if not (token.isascii() and token.isdigit()):
-        raise ParseError(f"line {lineno}: expected a nonnegative integer, got {token!r}")
-    return _digits_value(token)
-
-
-def _signed(token: str, lineno: int) -> int:
-    body = token[1:] if token.startswith("-") else token
-    if not (body and body.isascii() and body.isdigit()):
-        raise ParseError(f"line {lineno}: expected an integer, got {token!r}")
-    return -_digits_value(body) if token.startswith("-") else _digits_value(body)
 
 
 _Layout = collections.namedtuple(
@@ -263,8 +206,6 @@ def _edge_line(widths: set[int], head: list[int], lineno: int, toks: list[str]) 
 
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     """Parse a graph file; returns the graph and its costs (None if edges lack them)."""
-    from .graph import Graph
-
     first = text.find("\n") + 1
     layout = _EDGES.get(text.count(" ", first, text.find("\n", first)) + 1)
     read = layout and _in_bulk(text, layout)
@@ -311,28 +252,12 @@ def parse_sp_witness(text: str, g: Graph, cost: tuple[int, ...]) -> SpWitness:
 
 def parse_matching_witness(text: str, g: Graph) -> MatchingWitness:
     """Parse a matching witness: M's edges, the edge map, and the labels."""
-    from .graph import Graph
     from .matching import MatchingWitness
 
     n = g.num_verts
     read = _in_bulk(text, _MATCHING, n) or _by_line(text, _MATCHING, n)
     _, (src, trg, edge_map), labels = read
     return MatchingWitness(Graph(n, zip(src, trg)), edge_map, labels)
-
-
-def parse_gcd_line(text: str) -> GcdTriple:
-    """Parse a one-line gcd instance ``gcd a b g s t``."""
-    from .gcd import GcdTriple
-
-    rows = _rows(text)
-    if len(rows) != 1:
-        raise ParseError("expected a single 'gcd a b g s t' line")
-    lineno, toks = rows[0]
-    if len(toks) != 6 or toks[0] != "gcd":
-        raise ParseError(f"line {lineno}: expected 'gcd a b g s t'")
-    a, b, g = (_nat(tok, lineno) for tok in toks[1:4])
-    s, t = (_signed(tok, lineno) for tok in toks[4:6])
-    return GcdTriple(a, b, g, s, t)
 
 
 def _write(layout: _Layout, head: Sequence, columns: list, labels: Sequence | None = None) -> str:
@@ -377,6 +302,3 @@ def serialize_matching_witness(w: MatchingWitness) -> str:
     columns = [[src for src, _ in m.edges], [trg for _, trg in m.edges], w.edge_map]
     return _write(_MATCHING, (m.num_edges,), columns, w.osc if m.num_verts > 0 else None)
 
-
-def serialize_gcd(t: GcdTriple) -> str:
-    return "gcd " + " ".join(map(_decimal, (t.a, t.b, t.g, t.s, t.t))) + "\n"

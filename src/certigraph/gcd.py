@@ -5,13 +5,17 @@ Bezout coefficients s, t with g = s*a + t*b. Divisibility of a and b by g
 makes g a common divisor; the linear combination makes every common
 divisor divide g; together with g >= 0 that pins g as the greatest one.
 Checking costs two divisions and one multiplication-addition, all exact.
+
+A gcd file is one line ``gcd <a> <b> <g> <s> <t>``: a, b and g are
+nonnegative, and the Bezout coefficients s and t may carry a ``-``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .verdict import ACCEPT, PreconditionError, Verdict, reject, shown
+from .numerals import _decimal, _nat, _rows, _signed
+from .verdict import ACCEPT, ParseError, PreconditionError, Verdict, reject, shown
 
 
 @dataclass(frozen=True)
@@ -26,6 +30,23 @@ class GcdTriple:
     g: int
     s: int
     t: int
+
+
+def parse_gcd_line(text: str) -> GcdTriple:
+    """Parse a one-line gcd instance ``gcd a b g s t``."""
+    rows = _rows(text)
+    if len(rows) != 1:
+        raise ParseError("expected a single 'gcd a b g s t' line")
+    lineno, toks = rows[0]
+    if len(toks) != 6 or toks[0] != "gcd":
+        raise ParseError(f"line {lineno}: expected 'gcd a b g s t'")
+    a, b, g = (_nat(tok, lineno) for tok in toks[1:4])
+    s, t = (_signed(tok, lineno) for tok in toks[4:6])
+    return GcdTriple(a, b, g, s, t)
+
+
+def serialize_gcd(t: GcdTriple) -> str:
+    return "gcd " + " ".join(map(_decimal, (t.a, t.b, t.g, t.s, t.t))) + "\n"
 
 
 def require_gcd_inputs(a: int, b: int) -> None:

@@ -1,9 +1,10 @@
-"""Checker verdicts and precondition errors.
+"""Checker verdicts, and the two errors that mean no verdict exists.
 
 A checker decides its witness predicate totally: every call on inputs that
 satisfy the problem precondition returns Accept or Reject, never an
 exception. Inputs that violate the precondition raise
-:class:`PreconditionError` instead of producing an arbitrary verdict.
+:class:`PreconditionError` instead of producing an arbitrary verdict, and
+a file that does not conform to its format raises :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -71,3 +72,7 @@ class PreconditionError(Exception):
         self.clause = clause
         self.detail = detail
         super().__init__(f"{clause}: {detail}" if detail else clause)
+
+
+class ParseError(ValueError):
+    """The file does not conform to its format."""

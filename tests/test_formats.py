@@ -9,20 +9,17 @@ from certigraph import formats
 from certigraph.connectivity import CutWitness, SpanningTreeWitness
 from certigraph.formats import (
     LengthMismatchError,
-    ParseError,
     WellformednessError,
     parse_connectivity_witness,
-    parse_gcd_line,
     parse_graph,
     parse_matching_witness,
     parse_sp_witness,
     serialize_connectivity_witness,
-    serialize_gcd,
     serialize_graph,
     serialize_matching_witness,
     serialize_sp_witness,
 )
-from certigraph.gcd import GcdTriple
+from certigraph.gcd import GcdTriple, parse_gcd_line, serialize_gcd
 from certigraph.graph import Graph
 from certigraph.matching import MatchingWitness
 from certigraph.solvers import (
@@ -31,6 +28,7 @@ from certigraph.solvers import (
     solve_max_matching,
     solve_shortest_paths,
 )
+from certigraph.verdict import ParseError
 
 from conftest import DATA
 from helpers import random_digraph, random_loopless_graph, random_multigraph
