@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerals import _decimal, _nat, _rows, _signed
+from .numerals import _decimal, _digits_value, _nat, _rows
 from .verdict import ACCEPT, ParseError, PreconditionError, Verdict, reject, shown
 
 
@@ -43,6 +43,13 @@ def parse_gcd_line(text: str) -> GcdTriple:
     a, b, g = (_nat(tok, lineno) for tok in toks[1:4])
     s, t = (_signed(tok, lineno) for tok in toks[4:6])
     return GcdTriple(a, b, g, s, t)
+
+
+def _signed(token: str, lineno: int) -> int:
+    body = token[1:] if token.startswith("-") else token
+    if not (body and body.isascii() and body.isdigit()):
+        raise ParseError(f"line {lineno}: expected an integer, got {token!r}")
+    return -_digits_value(body) if token.startswith("-") else _digits_value(body)
 
 
 def serialize_gcd(t: GcdTriple) -> str:

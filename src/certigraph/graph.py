@@ -1,4 +1,4 @@
-"""Graphs as edge lists, and the structural predicates shared by all checkers.
+"""Graphs as edge lists, and the endpoint-range predicate every graph check runs.
 
 A graph is a vertex count n plus a tuple of edges, each a plain
 ``(src, trg)`` tuple; building a graph from an edge that is not a pair
@@ -47,15 +47,3 @@ def require_wellformed(g: Graph) -> None:
     """Raise :class:`PreconditionError` unless ``g`` is wellformed."""
     if not wellformed(g):
         raise PreconditionError("wellformed", "edge endpoint out of range")
-
-
-def has_no_self_loops(g: Graph) -> bool:
-    return all(src != trg for src, trg in g.edges)
-
-
-def has_no_duplicate_edges(g: Graph) -> bool:
-    """True iff no ordered (src, trg) pair occurs twice.
-
-    (0, 1) and (1, 0) do not count as duplicates of each other.
-    """
-    return len(set(g.edges)) == g.num_edges

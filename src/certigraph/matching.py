@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, has_no_duplicate_edges, has_no_self_loops, wellformed
+from .graph import Graph, wellformed
 from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject
 
 
@@ -160,3 +160,15 @@ def require_matching_inputs(g: Graph, m: Graph) -> None:
         raise PreconditionError("duplicate_edges", "G has a duplicate edge")
     if m.num_verts != g.num_verts:
         raise PreconditionError("vertex_count", "M and G must share the vertex set")
+
+
+def has_no_self_loops(g: Graph) -> bool:
+    return all(src != trg for src, trg in g.edges)
+
+
+def has_no_duplicate_edges(g: Graph) -> bool:
+    """True iff no ordered (src, trg) pair occurs twice.
+
+    (0, 1) and (1, 0) do not count as duplicates of each other.
+    """
+    return len(set(g.edges)) == g.num_edges

@@ -1,8 +1,8 @@
 """Rows and exact decimals for the line-based file formats.
 
 ``_rows`` splits a file into numbered lines of whitespace-separated tokens.
-The rest read and write decimals of any length in pieces, so no number
-meets the interpreter's int/str digit limit, which is never changed.
+The rest read unsigned and write signed decimals of any length in pieces,
+so no number meets the interpreter's int/str digit limit, which is never changed.
 """
 
 from .verdict import ParseError
@@ -50,10 +50,3 @@ def _nat(token: str, lineno: int) -> int:
     if not (token.isascii() and token.isdigit()):
         raise ParseError(f"line {lineno}: expected a nonnegative integer, got {token!r}")
     return _digits_value(token)
-
-
-def _signed(token: str, lineno: int) -> int:
-    body = token[1:] if token.startswith("-") else token
-    if not (body and body.isascii() and body.isdigit()):
-        raise ParseError(f"line {lineno}: expected an integer, got {token!r}")
-    return -_digits_value(body) if token.startswith("-") else _digits_value(body)

@@ -4,9 +4,12 @@ Everything here exists to catch bugs in the fast paths, so each oracle
 uses a different algorithm than the solver it cross-checks: transitive
 closure instead of breadth-first search, Bellman-Ford relaxation instead
 of Dijkstra's heap, exhaustive enumeration instead of blossom search. The
-quantified witness predicates are also evaluated here directly, as single
-boolean expressions, to test the checkers' early-exit loops against the
-definitions they implement.
+extended naturals' absorbing addition and total order are stated here too,
+as the specification's arithmetic; no checker uses them. Each ``eval_*``
+evaluates one witness predicate from its quantified definition, as a single
+boolean expression, to test its checker's early-exit loops: it raises
+:class:`PreconditionError` on the same inputs (under its own clause names)
+and applies the same shape rules, but calls no checker code.
 
 Exhaustive routines take explicit size guards with conservative defaults
 and raise :class:`InstanceTooLargeError` beyond them.
@@ -53,6 +56,19 @@ def oracle_connected(g: Graph) -> bool:
     return all(row == full for row in reach)
 
 
+def ext_add(a: ExtNat, b: ExtNat | int) -> ExtNat:
+    """a + b in the extended naturals: infinity absorbs every summand."""
+    k = b.value if isinstance(b, ExtNat) else b
+    if k is not None and k < 0:
+        raise ValueError(f"cannot add negative {k} to an ExtNat")
+    return INFINITY if a.value is None or k is None else ExtNat(a.value + k)
+
+
+def ext_le(a: ExtNat, b: ExtNat) -> bool:
+    """a <= b in the extended naturals, infinity on top; a < b is ``not ext_le(b, a)``."""
+    return b.value is None or (a.value is not None and a.value <= b.value)
+
+
 def oracle_mu(g: Graph, cost: Sequence[int], source: int) -> tuple[ExtNat, ...]:
     """Exact shortest-path distances by Bellman-Ford relaxation over ExtNat.
 
@@ -66,8 +82,8 @@ def oracle_mu(g: Graph, cost: Sequence[int], source: int) -> tuple[ExtNat, ...]:
     for _ in range(max(n - 1, 1)):
         changed = False
         for i, (u, v) in enumerate(g.edges):
-            candidate = dist[u] + cost[i]
-            if candidate < dist[v]:
+            candidate = ext_add(dist[u], cost[i])
+            if not ext_le(dist[v], candidate):
                 dist[v] = candidate
                 changed = True
         if not changed:
@@ -160,28 +176,7 @@ def full_weight(labels: Sequence[int], n: int, i: int) -> int:
     return label_count(labels, 1, n) + rec_weight(labels, n, i)
 
 
-def eval_witness_predicate(problem: str, triple) -> bool:
-    """Evaluate a witness predicate directly from its quantified definition.
-
-    ``problem`` is one of ``"connected"``, ``"sp"``, ``"matching"``,
-    ``"gcd"``. This is the checkers' test oracle: it raises
-    :class:`PreconditionError` on the same inputs (under its own clause
-    names) and applies the same shape rules, but states each precondition
-    and conjunct as a single boolean expression instead of a diagnostic
-    loop, and calls no checker code.
-    """
-    if problem == "connected":
-        return _eval_connected(triple)
-    if problem == "sp":
-        return _eval_sp(triple)
-    if problem == "matching":
-        return _eval_matching(triple)
-    if problem == "gcd":
-        return _eval_gcd(triple)
-    raise ValueError(f"unknown problem id {problem!r}")
-
-
-def _eval_connected(t: ConnectivityTriple) -> bool:
+def eval_connected(t: ConnectivityTriple) -> bool:
     g, w = t.graph, t.witness
     n, m = g.num_verts, g.num_edges
     if not all(0 <= u < n and 0 <= v < n for u, v in g.edges):
@@ -217,7 +212,7 @@ def _eval_connected(t: ConnectivityTriple) -> bool:
     )
 
 
-def _eval_sp(t: SpTriple) -> bool:
+def eval_sp(t: SpTriple) -> bool:
     g, w = t.graph, t.witness
     n, m = g.num_verts, g.num_edges
     if not (all(0 <= u < n and 0 <= v < n for u, v in g.edges) and 0 <= w.source < n):
@@ -228,7 +223,7 @@ def _eval_sp(t: SpTriple) -> bool:
     return (
         dist[w.source] == ExtNat(0)
         and all(dist[v].is_infinite == num[v].is_infinite for v in range(n))
-        and all(dist[v] <= dist[u] + cost[i] for i, (u, v) in enumerate(g.edges))
+        and all(ext_le(dist[v], ext_add(dist[u], cost[i])) for i, (u, v) in enumerate(g.edges))
         and all(
             v == w.source
             or num[v].is_infinite
@@ -236,15 +231,15 @@ def _eval_sp(t: SpTriple) -> bool:
                 pe[v] is not None
                 and 0 <= pe[v] < m
                 and g.edges[pe[v]][1] == v
-                and dist[v] == dist[g.edges[pe[v]][0]] + cost[pe[v]]
-                and num[v] == num[g.edges[pe[v]][0]] + 1
+                and dist[v] == ext_add(dist[g.edges[pe[v]][0]], cost[pe[v]])
+                and num[v] == ext_add(num[g.edges[pe[v]][0]], 1)
             )
             for v in range(n)
         )
     )
 
 
-def _eval_matching(t: MatchingTriple) -> bool:
+def eval_matching(t: MatchingTriple) -> bool:
     g, w = t.graph, t.witness
     m, f, osc = w.matching, w.edge_map, w.osc
     n = g.num_verts
@@ -277,7 +272,7 @@ def _eval_matching(t: MatchingTriple) -> bool:
     )
 
 
-def _eval_gcd(t: GcdTriple) -> bool:
+def eval_gcd(t: GcdTriple) -> bool:
     if t.a < 0 or t.b < 0:
         raise PreconditionError("nonneg_inputs", "a and b must be nonnegative")
     if t.a + t.b == 0:

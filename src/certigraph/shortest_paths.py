@@ -33,8 +33,8 @@ from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject
 class ExtNat:
     """A nonnegative integer or infinity (encoded as ``value = None``).
 
-    Supports the total order of the extended naturals and addition, with
-    infinity absorbing: ``INFINITY + k == INFINITY`` for every k.
+    Values compare only by equality. The checkers compare ``value``s, and
+    the algebra of the extended naturals is stated in :mod:`certigraph.oracles`.
     """
 
     value: int | None
@@ -49,23 +49,6 @@ class ExtNat:
     @property
     def is_infinite(self) -> bool:
         return self.value is None
-
-    def __add__(self, other: ExtNat | int) -> ExtNat:
-        k = other.value if isinstance(other, ExtNat) else other
-        if k is not None and k < 0:
-            raise ValueError(f"cannot add negative {k} to an ExtNat")
-        if self.value is None or k is None:
-            return INFINITY
-        return ExtNat(self.value + k)
-
-    def __le__(self, other: ExtNat) -> bool:
-        # Everything is <= infinity; otherwise both sides must be finite.
-        if other.value is None:
-            return True
-        return self.value is not None and self.value <= other.value
-
-    def __lt__(self, other: ExtNat) -> bool:
-        return self <= other and self != other
 
 
 INFINITY = ExtNat(None)

@@ -9,6 +9,7 @@ tests and the acceptance suite share one implementation.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 from typing import Iterator
 
@@ -16,30 +17,58 @@ from certigraph.connectivity import ConnectivityTriple, CutWitness, check_connec
 from certigraph.gcd import check_gcd
 from certigraph.graph import Graph
 from certigraph.matching import MatchingTriple, check_max_matching
-from certigraph.oracles import eval_witness_predicate
+from certigraph.oracles import eval_connected, eval_gcd, eval_matching, eval_sp
 from certigraph.shortest_paths import INFINITY, ExtNat, SpTriple, check_shortest_paths
 from certigraph.solvers import solve_connectivity, solve_max_matching, solve_shortest_paths
 from certigraph.verdict import PreconditionError
 
-_CHECKERS = {
-    "connected": check_connectivity,
-    "sp": check_shortest_paths,
-    "matching": check_max_matching,
-    "gcd": check_gcd,
+# Each problem's checker and the oracle's direct evaluation of its predicate.
+PROBLEMS = {
+    "connected": (check_connectivity, eval_connected),
+    "sp": (check_shortest_paths, eval_sp),
+    "matching": (check_max_matching, eval_matching),
+    "gcd": (check_gcd, eval_gcd),
 }
 
 
 def verdicts_agree(problem: str, triple) -> tuple[bool, object, object]:
     """Run checker and direct evaluator; return (agree, checker, evaluator)."""
+    check, evaluate = PROBLEMS[problem]
     try:
-        checker_says: object = bool(_CHECKERS[problem](triple))
+        checker_says: object = bool(check(triple))
     except PreconditionError:
         checker_says = "precondition"
     try:
-        eval_says: object = bool(eval_witness_predicate(problem, triple))
+        eval_says: object = bool(evaluate(triple))
     except PreconditionError:
         eval_says = "precondition"
     return checker_says == eval_says, checker_says, eval_says
+
+
+def line_events(fn, *args) -> tuple[int, object]:
+    """How many lines of certigraph code ``fn(*args)`` runs, and what it returns.
+
+    Only that call is traced. Line events repeat exactly from run to run, so
+    their growth with input size pins a function's Python-level cost where
+    timings are too noisy.
+    """
+    count = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return count_lines
+
+    def enter(frame, event, arg):
+        return count_lines if frame.f_globals.get("__name__", "").startswith("certigraph") else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count, result
 
 
 def solver_triple(problem: str, g: Graph, cost=None, source=0):

@@ -35,6 +35,8 @@ from certigraph.matching import (
 from certigraph.oracles import (
     enumerate_graphs,
     enumerate_matchings,
+    ext_add,
+    ext_le,
     oracle_connected,
     oracle_max_matching_size,
     oracle_mu,
@@ -286,8 +288,8 @@ def test_criterion_5_shortest_path_bounds():
             w = witness_with(dist)
             if check_start_val(w) and check_trian(g, w):
                 lower_bound_checks += 1
-                assert all(dist[v] <= mu[v] for v in range(n)), (g, cost, dist, mu)
-                if any(dist[v] < mu[v] for v in range(n)):
+                assert all(ext_le(dist[v], mu[v]) for v in range(n)), (g, cost, dist, mu)
+                if any(not ext_le(mu[v], dist[v]) for v in range(n)):  # dist[v] < mu[v]
                     nontrivial += 1
 
         accepted = solve_shortest_paths(g, cost, source)
@@ -326,7 +328,7 @@ def test_criterion_6_depth_conjunct_necessity(zero_cycle_graph, zero_cycle_cost)
             if e is None or not 0 <= e < g.num_edges:
                 return False
             u, trg = g.edges[e]
-            if trg != v or w.dist[v] != w.dist[u] + w.cost[e]:
+            if trg != v or w.dist[v] != ext_add(w.dist[u], w.cost[e]):
                 return False
         return True
 

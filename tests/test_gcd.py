@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from certigraph.gcd import GcdTriple, check_gcd
-from certigraph.oracles import eval_witness_predicate
+from certigraph.oracles import eval_gcd
 from certigraph.solvers import solve_gcd
 from certigraph.verdict import PreconditionError
 
@@ -89,7 +89,7 @@ def test_solver_matches_math_gcd(a, b):
     s, t = res.witness
     triple = GcdTriple(a, b, res.output, s, t)
     assert check_gcd(triple).accepted
-    assert eval_witness_predicate("gcd", triple)
+    assert eval_gcd(triple)
 
 
 @given(

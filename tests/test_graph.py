@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from certigraph.graph import Graph, has_no_duplicate_edges, has_no_self_loops, wellformed
+from certigraph.graph import Graph, wellformed
+from certigraph.matching import has_no_duplicate_edges, has_no_self_loops
 
 
 @st.composite

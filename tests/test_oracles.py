@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,19 @@ DATA_ONLY = {
 }
 
 
+def own_methods(cls: type) -> set[str]:
+    """The functions a class body defines, other than construction checks and properties."""
+    tree = ast.parse(Path(sys.modules[cls.__module__].__file__).read_text())
+    (body,) = [n.body for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls.__name__]
+    return {
+        node.name
+        for node in body
+        if isinstance(node, ast.FunctionDef)
+        and node.name != "__post_init__"
+        and not any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+    }
+
+
 def test_oracles_import_only_data_classes_from_the_package():
     tree = ast.parse(Path(oracles.__file__).read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
@@ -122,3 +136,9 @@ def test_oracles_import_only_data_classes_from_the_package():
     assert from_package and from_package <= DATA_ONLY, from_package - DATA_ONLY
     plain = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
     assert not any(name.startswith("certigraph") for name in plain)
+    # The data classes carry no behaviour of their own: the dataclass decorator
+    # writes their methods, so arithmetic such as an ExtNat order lives here.
+    for name in from_package - {"PreconditionError"}:
+        obj = getattr(oracles, name)
+        cls = obj if isinstance(obj, type) else type(obj)
+        assert own_methods(cls) == set(), (name, own_methods(cls))

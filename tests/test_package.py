@@ -22,3 +22,11 @@ def test_readme_library_example_runs(capsys):
     example = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(example, {})  # the example asserts that the checker accepts
     assert capsys.readouterr().out == "[0, 1, 2]\n"
+
+
+def test_moved_names_keep_no_alias_in_the_module_they_left():
+    from certigraph import graph, numerals, oracles
+
+    assert {"has_no_self_loops", "has_no_duplicate_edges"} & set(vars(graph)) == set()
+    assert "_signed" not in vars(numerals)
+    assert "eval_witness_predicate" not in vars(oracles)
