@@ -177,10 +177,30 @@ def _contract(
     a base without an entry stands for itself alone. Returns the vertices
     whose base changed, in no particular order.
     """
-    cur_base = _lca(match, base, parent, v, to)
+    # The cycle's base is that of the lowest common tree ancestor of v and to.
+    # Both walks step up in turn; the first base both have seen is the
+    # answer, since every common ancestor above it is reached later by both.
+    x, y = base[v], base[to]
+    seen_x, seen_y = {x}, {y}
+    while x not in seen_y and y not in seen_x:
+        if match[x] != -1:
+            x = base[parent[match[x]]]
+            seen_x.add(x)
+        if match[y] != -1:
+            y = base[parent[match[y]]]
+            seen_y.add(y)
+    cur_base = x if x in seen_y else y
+    # Mark the blossom bases on both sides of the cycle, from each endpoint up
+    # to cur_base. Parent pointers are threaded around the cycle as the walk
+    # goes, so augmentation can later walk through the blossom either way.
     marked: set[int] = set()
-    _mark_path(match, base, marked, parent, v, cur_base, to)
-    _mark_path(match, base, marked, parent, to, cur_base, v)
+    for a, child in ((v, to), (to, v)):
+        while base[a] != cur_base:
+            marked.add(base[a])
+            marked.add(base[match[a]])
+            parent[a] = child
+            child = match[a]
+            a = parent[child]
     marked.discard(cur_base)  # its members keep their base, and are even already
     moved: list[int] = []
     for b in marked:
@@ -189,47 +209,6 @@ def _contract(
         base[i] = cur_base
     blossoms.setdefault(cur_base, [cur_base]).extend(moved)
     return moved
-
-
-def _lca(
-    match: list[int], base: list[int], parent: list[int], a: int, b: int
-) -> int:
-    """Base of the lowest common tree ancestor of (the blossoms of) a and b.
-
-    Both walks step up in turn; the first base both have seen is the
-    answer, since every common ancestor above it is reached later by both.
-    """
-    x, y = base[a], base[b]
-    seen_x, seen_y = {x}, {y}
-    while True:
-        if x in seen_y:
-            return x
-        if y in seen_x:
-            return y
-        if match[x] != -1:
-            x = base[parent[match[x]]]
-            seen_x.add(x)
-        if match[y] != -1:
-            y = base[parent[match[y]]]
-            seen_y.add(y)
-
-
-def _mark_path(
-    match: list[int],
-    base: list[int],
-    blossom: set[int],
-    parent: list[int],
-    v: int,
-    b: int,
-    child: int,
-) -> None:
-    """Mark blossom bases from v up to b, threading parent pointers around."""
-    while base[v] != b:
-        blossom.add(base[v])
-        blossom.add(base[match[v]])
-        parent[v] = child
-        child = match[v]
-        v = parent[match[v]]
 
 
 def _cover_labels(

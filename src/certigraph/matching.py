@@ -97,9 +97,9 @@ def check_osc(g: Graph, osc: Sequence[int]) -> Verdict:
     return ACCEPT
 
 
-def check_cardinality(g: Graph, m: Graph, osc: Sequence[int]) -> Verdict:
-    """Accept iff the cover's bound ``weight(g, osc)`` equals |M|."""
-    bound = weight(g, osc)
+def check_cardinality(m: Graph, osc: Sequence[int]) -> Verdict:
+    """Accept iff the cover's bound ``weight(osc)`` equals |M|."""
+    bound = weight(osc)
     if m.num_edges == bound:
         return ACCEPT
     return reject(
@@ -107,13 +107,13 @@ def check_cardinality(g: Graph, m: Graph, osc: Sequence[int]) -> Verdict:
     )
 
 
-def weight(g: Graph, osc: Sequence[int]) -> int:
+def weight(osc: Sequence[int]) -> int:
     """The cover's matching bound: n_1 + sum of floor(n_i / 2) for i >= 2.
 
     Computed in unbounded integers over the labels that actually occur;
     absent labels contribute 0, so summing to the maximum occurring label
     equals summing over every label value. The result never exceeds
-    ``g.num_verts``.
+    ``len(osc)``, the vertex count.
     """
     counts = Counter(osc)
     return counts[1] + sum(c // 2 for label, c in counts.items() if label >= 2)
@@ -130,7 +130,7 @@ CLAUSES = (
     lambda g, w: check_subset(g, w.matching, w.edge_map),
     lambda g, w: check_matching(w.matching),
     lambda g, w: check_osc(g, w.osc),
-    lambda g, w: check_cardinality(g, w.matching, w.osc),
+    lambda g, w: check_cardinality(w.matching, w.osc),
 )
 
 

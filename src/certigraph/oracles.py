@@ -11,8 +11,8 @@ boolean expression, to test its checker's early-exit loops: it raises
 :class:`PreconditionError` on the same inputs (under its own clause names)
 and applies the same shape rules, but calls no checker code.
 
-Exhaustive routines take explicit size guards with conservative defaults
-and raise :class:`InstanceTooLargeError` beyond them.
+Exhaustive routines raise :class:`InstanceTooLargeError` beyond the
+module's size bounds ``MAX_PAIRS`` and ``MAX_EDGES``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ class InstanceTooLargeError(ValueError):
 
 
 MAX_PAIRS = 16  # enumerate_graphs yields 2**p graphs over p candidate pairs
+MAX_EDGES = 20  # enumerate_matchings yields at most 2**m matchings of m edges
 
 
 def oracle_connected(g: Graph) -> bool:
@@ -91,13 +92,13 @@ def oracle_mu(g: Graph, cost: Sequence[int], source: int) -> tuple[ExtNat, ...]:
     return tuple(dist)
 
 
-def oracle_max_matching_size(g: Graph, max_edges: int = 20) -> int:
+def oracle_max_matching_size(g: Graph) -> int:
     """Maximum matching cardinality: the size of the largest matching of ``g``.
 
     Takes the maximum over every matching :func:`enumerate_matchings`
     yields, so it inherits that function's size guard.
     """
-    return max(map(len, enumerate_matchings(g, max_edges)))
+    return max(map(len, enumerate_matchings(g)))
 
 
 def enumerate_graphs(
@@ -125,11 +126,11 @@ def enumerate_graphs(
         yield Graph(num_verts, [p for i, p in enumerate(pairs) if bits >> i & 1])
 
 
-def enumerate_matchings(g: Graph, max_edges: int = 20) -> Iterator[tuple[int, ...]]:
+def enumerate_matchings(g: Graph) -> Iterator[tuple[int, ...]]:
     """Every matching of ``g`` as a tuple of edge ids (including the empty one)."""
-    if g.num_edges > max_edges:
+    if g.num_edges > MAX_EDGES:
         raise InstanceTooLargeError(
-            f"{g.num_edges} edges exceeds the enumeration bound {max_edges}"
+            f"{g.num_edges} edges exceeds the enumeration bound {MAX_EDGES}"
         )
     edges = g.edges
 

@@ -55,7 +55,7 @@ MATCHING_ORDER = (
     lambda g, w: check_subset(g, w.matching, w.edge_map),
     lambda g, w: check_matching(w.matching),
     lambda g, w: check_osc(g, w.osc),
-    lambda g, w: check_cardinality(g, w.matching, w.osc),
+    lambda g, w: check_cardinality(w.matching, w.osc),
 )
 
 

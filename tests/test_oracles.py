@@ -67,10 +67,13 @@ def test_oracle_matching_examples(twelve_graph):
 
 
 def test_oracle_matching_size_guard():
-    g = Graph(30, [(i, i + 1) for i in range(25)])
-    with pytest.raises(InstanceTooLargeError):
-        oracle_max_matching_size(g)
-    assert oracle_max_matching_size(g, max_edges=25) == 13
+    def path(m: int) -> Graph:
+        return Graph(m + 1, [(i, i + 1) for i in range(m)])
+
+    assert oracles.MAX_EDGES == 20
+    assert oracle_max_matching_size(path(20)) == 10
+    with pytest.raises(InstanceTooLargeError, match="21 edges exceeds the enumeration bound 20"):
+        oracle_max_matching_size(path(21))
 
 
 def test_enumerate_graphs_counts():

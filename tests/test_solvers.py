@@ -159,7 +159,7 @@ def test_matching_solver_random_always_certified_and_maximum():
         g = random_loopless_graph(rng, rng.randint(0, 10), 16)
         res = solve_max_matching(g)
         assert check_max_matching(MatchingTriple(g, res.witness)).accepted
-        assert res.output.num_edges == oracle_max_matching_size(g, max_edges=45)
+        assert res.output.num_edges == oracle_max_matching_size(g)
         assert all(0 <= l < max(g.num_verts, 1) for l in res.witness.osc) or g.num_verts == 0
 
 
