@@ -1,19 +1,13 @@
 """Maximum-cardinality matching with an odd-set cover certificate.
 
-The matching itself comes from the classic blossom search: grow alternating
-trees from free vertices, contract odd cycles (blossoms) when two even
-vertices meet inside a tree, augment when two trees meet. Blossoms are
+The matching comes from Edmonds' blossom search, run in phases. Each
+phase grows one alternating forest from every free vertex at once,
+breadth first, contracting odd cycles (blossoms) when two even vertices
+of one tree meet, and augmenting when two trees meet. Blossoms are
 tracked through a ``base`` array mapping every vertex to the base of its
-(possibly nested) contracted cycle.
+(possibly nested) contracted cycle. Each step costs only as much as the
+structure it touches:
 
-One search routine, ``_grow``, grows every alternating forest, on one
-set of arrays: each augmentation grows a tree from one free root, and the
-certificate grows the forest from every free vertex once the matching is
-maximum. Each step costs only as much as the structure it touches:
-
-* a search from one free root costs its alternating tree. The forest
-  arrays are allocated once and only the tree's vertices are reset after
-  each search; a free root without neighbours is skipped;
 * a contraction costs the blossom: every non-trivial base keeps the list
   of its members, and only the members of the bases on the cycle are
   relabeled;
@@ -21,14 +15,17 @@ maximum. Each step costs only as much as the structure it touches:
   the walks from both endpoints step up in turn and stop at the first
   base both have seen, instead of one walk to the tree's root.
 
-The visit order is that of the textbook version which rescans all n
-vertices per contraction: the vertices a contraction turns even are
-enqueued in ascending id order, as that scan would find them, and the
-lowest common ancestor is unique however it is found. So the witness is
-reproducible byte for byte.
+An augmentation flips the paths from both ends of the even-even edge to
+their roots, and both trees are then dead for the rest of the phase: their
+vertices are skipped and no live tree grows into them, so one phase makes
+several vertex-disjoint augmentations. The phases repeat until one
+augments nothing; every phase before it augments at least once, so there
+are at most n/2 + 1 phases. The vertices a contraction turns even are enqueued in
+ascending id order, so the witness is reproducible byte for byte.
 
-The final forest, grown from every free vertex, cannot augment. In it the
-vertices split into three classes:
+The last phase is Edmonds' complete search from every free vertex of a
+maximum matching, and its forest is the certificate. In it the vertices
+split into three classes:
 
 * ``EVEN``: in some alternating tree at even depth (including every free
   vertex and everything swallowed by a blossom);
@@ -80,87 +77,74 @@ def maximum_matching_with_cover(g: Graph) -> tuple[tuple[int, ...], tuple[int, .
                     match[v] = u
                     match[u] = v
                     break
-    # One set of forest arrays for every search; each augmentation resets what it touched.
-    forest = ([_UNREACHED] * n, [-1] * n, list(range(n)), [-1] * n)
-    status, parent, base, root_of = forest
-    for root in range(n):
-        if match[root] != -1 or not adj[root]:
-            continue
-        tree = [root]
-        v = _grow(adj, match, forest, {}, tree)
-        # Flip matched/unmatched edges along the found path back to the root.
-        while v != -1:
-            pv = parent[v]
-            next_v = match[pv]
-            match[v] = pv
-            match[pv] = v
-            v = next_v
-        for v in tree:
-            status[v] = _UNREACHED
-            parent[v] = -1
-            base[v] = v
-            root_of[v] = -1
-    blossoms: dict[int, list[int]] = {}
-    _grow(adj, match, forest, blossoms, [v for v in range(n) if match[v] == -1])
+    forest = None
+    while forest is None:
+        forest = _phase(adj, match)
+    status, blossoms = forest
     labels = _cover_labels(n, adj, status, blossoms)
     edge_ids = _matched_edge_ids(g, match)
     return edge_ids, labels
 
 
-def _grow(
-    adj: list[list[int]],
-    match: list[int],
-    forest: tuple[list[int], list[int], list[int], list[int]],
-    blossoms: dict[int, list[int]],
-    tree: list[int],
-) -> int:
-    """Grow the alternating forest from the even vertices ``tree`` starts with.
+def _phase(
+    adj: list[list[int]], match: list[int]
+) -> tuple[list[int], dict[int, list[int]]] | None:
+    """Grow one alternating forest from every free vertex; augment where trees meet.
 
-    Returns the first free vertex reached at odd depth, which ends an
-    augmenting path, or -1 once the forest is exhausted. ``forest`` is
-    ``(status, parent, base, root_of)``: ``parent[v]`` is the even vertex
-    from which odd v was reached, and blossom contraction also threads
-    parent pointers around each cycle so augmentation can walk through
-    it. The arrays start out clean (unreached, -1, identity, -1); the search
-    appends every vertex it adds to ``tree``, records each new blossom's
-    members in ``blossoms``, and writes to no other array entries. An
-    even-even edge between two trees would be an augmenting path, which
-    the search never meets when its roots are every free vertex of a
-    maximum matching; it raises RuntimeError if it does.
+    Returns None if the phase augmented ``match``, else the forest's
+    ``(status, blossoms)``, which certifies that ``match`` is maximum.
+    ``parent[v]`` is the even vertex from which odd v was reached, and
+    blossom contraction also threads parent pointers around each cycle so
+    augmentation can walk through it. ``blossoms`` maps each non-trivial
+    base to its members.
     """
-    status, parent, base, root_of = forest
-    for v in tree:
+    n = len(adj)
+    status, parent, base, root_of = [_UNREACHED] * n, [-1] * n, list(range(n)), [-1] * n
+    blossoms: dict[int, list[int]] = {}
+    dead: set[int] = set()
+    roots = [v for v in range(n) if match[v] == -1]
+    for v in roots:
         status[v] = _EVEN
         root_of[v] = v
-    queue = deque(tree)
+    queue = deque(roots)
     while queue:
         v = queue.popleft()
+        if root_of[v] in dead:
+            continue
         for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
             # The textbook's "root, or mate has a parent": contraction threads those parents.
             if status[to] == _EVEN:
-                if root_of[to] != root_of[v]:
-                    raise RuntimeError("augmenting path found after maximality")
-                # The edge closes an odd cycle in one tree; contract it.
-                moved = _contract(match, base, parent, blossoms, v, to)
-                fresh = sorted(i for i in moved if status[i] != _EVEN)
-                for i in fresh:
-                    status[i] = _EVEN
-                queue.extend(fresh)
+                if root_of[to] == root_of[v]:
+                    # The edge closes an odd cycle in one tree; contract it.
+                    moved = _contract(match, base, parent, blossoms, v, to)
+                    fresh = sorted(i for i in moved if status[i] != _EVEN)
+                    for i in fresh:
+                        status[i] = _EVEN
+                    queue.extend(fresh)
+                elif root_of[to] not in dead:
+                    # The edge joins two trees: flip both tree paths back to the roots.
+                    for x, y in ((v, to), (to, v)):
+                        mate = match[x]
+                        match[x] = y
+                        while mate != -1:
+                            pm = parent[mate]
+                            next_mate = match[pm]
+                            match[mate] = pm
+                            match[pm] = mate
+                            mate = next_mate
+                    dead.update((root_of[v], root_of[to]))
+                    break
             elif status[to] == _UNREACHED:
+                # Every free vertex is a root, so ``to`` is matched.
+                mate = match[to]
                 parent[to] = v
                 status[to] = _ODD
-                root_of[to] = root_of[v]
-                tree.append(to)
-                mate = match[to]
-                if mate == -1:
-                    return to
                 status[mate] = _EVEN
-                root_of[mate] = root_of[v]
-                tree.append(mate)
+                root_of[to] = root_of[mate] = root_of[v]
                 queue.append(mate)
-    return -1
+    return None if dead else (status, blossoms)
 
 
 def _contract(

@@ -140,11 +140,14 @@ def solve_shortest_paths(
 
 
 def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:
-    """Blossom search plus an odd-set cover read off the final forest.
+    """Blossom search by phases plus an odd-set cover read off the last phase.
 
-    The returned matching M reuses the graph's own edge records (lowest
-    edge id per matched pair), so the witness's edge map is trivially
-    valid; the cover labels certify maximality.
+    Each phase grows alternating trees from every free vertex at once and
+    augments wherever two trees meet; the phase that augments nothing is
+    the complete search, and its forest gives the cover. The returned
+    matching M reuses the graph's own edge records (lowest edge id per
+    matched pair), so the witness's edge map is trivially valid; the cover
+    labels certify maximality.
     """
     from . import blossom
     from .graph import Graph

@@ -6,8 +6,8 @@ below pin the serialized witness of seeded instances from four families,
 and one digest pins about 4000 small random graphs at once, so any change
 to the search order of the solver shows up here. The large instances
 check that the witness is accepted and that the matching size is the one
-fixed by how the graph is built. The last test feeds the certificate's
-forest search a matching that is not maximum, which it must refuse.
+fixed by how the graph is built. Two tests feed one search phase a
+matching that is not maximum, which it must augment.
 """
 
 from __future__ import annotations
@@ -87,15 +87,15 @@ GOLDEN = {
     ),
     "odd-cycles-50": (
         lambda: odd_cycle_chain(1, 50)[0],
-        "7ed644a5f23295621c103236bace12f2d0c7f2c8774b7bacaebb9702c2f109a3",
+        "e3cfb51a7339819881eee779461b189d7887bdb53806109166976ed6176eb880",
     ),
     "random-300-450": (
         lambda: random_sparse(13, 300, 450),
-        "53a8c30ad12a5910a26e688b4809a089ae8badd28eac703c332f1bc39e05c66b",
+        "59452801cc77f07eacef082a7df17f0fee0ade7d5f549715839f1888994d8661",
     ),
     "random-400-1200": (
         lambda: random_sparse(17, 400, 1200),
-        "431c6cd8a55acd8002e5f69b2622ca33db0b070ba612bde84062877aad040c20",
+        "5080808e5f96461e8dcf44e2a040f913346fcb8973d838f7b3743d9610a9470b",
     ),
 }
 
@@ -137,23 +137,24 @@ def test_witness_bytes_on_many_graphs_match_the_golden_digest():
     for g in _many_graphs():
         digest.update(serialize_matching_witness(solve_max_matching(g).witness).encode())
     assert digest.hexdigest() == (
-        "142ad213e4437b899835424603f3423a9bc54da94ce8e428d88a3d1b743cdf28"
+        "ab14e055877a0fc02999745e6390510ae77211818b7ee3016b95e554a2021042"
     )
 
 
 @pytest.mark.parametrize(
-    "adj, match",
-    [([[1], [0]], [-1, -1]), ([[1], [0, 2], [1, 3], [2]], [-1, 2, 1, -1])],
+    "adj, match, augmented",
+    [
+        ([[1], [0]], [-1, -1], [1, 0]),
+        ([[1], [0, 2], [1, 3], [2]], [-1, 2, 1, -1], [1, 0, 3, 2]),
+    ],
     ids=["unmatched-edge", "path-of-three-edges"],
 )
-def test_certificate_search_refuses_a_matching_that_is_not_maximum(adj, match):
+def test_a_phase_augments_a_matching_that_is_not_maximum(adj, match, augmented):
     # Grown from every free vertex, the forest of a non-maximum matching
-    # meets an augmenting path as an even-even edge between two trees.
-    n = len(adj)
-    forest = ([blossom._UNREACHED] * n, [-1] * n, list(range(n)), [-1] * n)
-    free = [v for v in range(n) if match[v] == -1]
-    with pytest.raises(RuntimeError, match="augmenting path found after maximality"):
-        blossom._grow(adj, match, forest, {}, free)
+    # meets an augmenting path as an even-even edge between two trees; the
+    # phase flips the path and returns no certificate.
+    assert blossom._phase(adj, match) is None
+    assert match == augmented
 
 
 def test_a_matched_pair_takes_its_lowest_edge_id_in_either_orientation():
