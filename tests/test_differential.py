@@ -16,7 +16,7 @@ from certigraph.graph import Graph
 from certigraph.matching import check_max_matching
 from certigraph.shortest_paths import check_shortest_paths
 
-from helpers import solver_triple
+from helpers import random_loopless_graph, solver_triple
 
 nx = pytest.importorskip("networkx")
 
@@ -87,6 +87,23 @@ def test_matching_size_equals_networkx(name, n, edges):
     other.add_edges_from(edges)
     expected = len(nx.max_weight_matching(other, maxcardinality=True))
     assert triple.witness.matching.num_edges == expected
+
+
+def test_matching_size_equals_networkx_on_many_small_graphs():
+    # 3000 graphs of up to 39 vertices, past the brute-force oracle's ten,
+    # at four densities: each phase may augment along several paths at
+    # once, and the last phase's forest must still give an accepted cover.
+    rng = random.Random(3000)
+    for i in range(3000):
+        n = rng.randrange(40)
+        g = random_loopless_graph(rng, n, (n // 2, n, 2 * n, 4 * n)[i % 4] + 1)
+        triple = solver_triple("matching", g)
+        assert check_max_matching(triple).accepted, g
+        other = nx.Graph()
+        other.add_nodes_from(range(n))
+        other.add_edges_from(g.edges)
+        expected = len(nx.max_weight_matching(other, maxcardinality=True))
+        assert triple.witness.matching.num_edges == expected, g
 
 
 @pytest.mark.parametrize("name, n, edges", MULTI, ids=case_ids(MULTI))

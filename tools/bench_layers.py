@@ -50,6 +50,7 @@ from certigraph.solvers import (  # noqa: E402
     solve_shortest_paths,
 )
 from helpers import line_events  # noqa: E402
+from test_cost_pins import random_graph  # noqa: E402  (simple, m = 3n: the matching pin's graphs)
 
 REPEATS = 5
 SIZES = {  # full, tiny
@@ -73,17 +74,6 @@ def multigraph(n: int, m: int, seed: int) -> tuple[Graph, tuple[int, ...]]:
     rng = random.Random(seed)
     edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(m)]
     return Graph(n, edges), tuple(rng.randrange(100) for _ in range(m))
-
-
-def simple_graph(n: int, seed: int) -> Graph:
-    """A uniform random simple graph with n vertices and 3n edges."""
-    rng = random.Random(seed)
-    pairs: set[tuple[int, int]] = set()
-    while len(pairs) < 3 * n:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            pairs.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(pairs))
 
 
 def gcd_operands(digits: int, seed: int) -> tuple[int, int]:
@@ -157,7 +147,7 @@ def layer_timings(tiny: bool, repeats: int) -> dict[str, dict[str, dict]]:
         (f"sp n={n} m={m}", "sp", g, cost),
     ]
     cases += [
-        (f"matching n={k} m={3 * k}", "matching", simple_graph(k, 1), None)
+        (f"matching n={k} m={3 * k}", "matching", random_graph(k, 1), None)
         for k in SIZES["matching"][tiny]
     ]
     digits = SIZES["gcd_digits"][tiny]
@@ -188,7 +178,7 @@ def line_event_counts(tiny: bool) -> dict[str, dict]:
     out = {}
     for s in SIZES["line_events"][tiny]:
         g, cost = multigraph(s, 5 * s, 2)
-        gm = simple_graph(s, 2)
+        gm = random_graph(s, 2)
         a, b = gcd_operands(s, 2)
         counts = {}
         counts["solve_connectivity"], conn = line_events(solve_connectivity, g)
@@ -264,12 +254,13 @@ def main() -> None:
         "layers": layer_timings(tiny, repeats),
         "line_events": line_event_counts(tiny),
     }
-    check_schema(doc, repeats)
+    text = json.dumps(doc, indent=1) + "\n"
+    check_schema(json.loads(text), repeats)
     if tiny:
         print(f"schema ok: {len(doc['layers'])} inputs, {len(doc['line_events'])} counted functions")
         return
     out = ROOT / f"BENCH_{sha}{'-dirty' if dirty else ''}.json"
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+    out.write_text(text)
     for name, layers in doc["layers"].items():
         print(name, " ".join(f"{layer}={t['median_s']:.4f}" for layer, t in layers.items()))
     print(f"wrote {out}")
