@@ -5,5 +5,6 @@
 arithmetic, whether a witness proves its answer; an accepted answer is right
 however it was computed. ``graph`` and ``formats`` build the inputs (``gcd``
 reads its own line), ``numerals`` reads and writes their numbers, ``verdict``
-holds the outcomes, and ``oracles`` gives brute-force ground truth for tests.
+holds the outcomes, ``record`` is the data classes' immutable base, and
+``oracles`` gives brute-force ground truth for tests.
 """

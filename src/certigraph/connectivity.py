@@ -15,15 +15,14 @@ forest rooted at ``root``, and one scan verifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .graph import Graph, require_wellformed
+from .record import Record
 from .verdict import ACCEPT, Verdict, first_rejection, reject, shown
 
 
-@dataclass(frozen=True)
-class SpanningTreeWitness:
+class SpanningTreeWitness(Record):
     """Certifies connectivity: per-vertex parent edge and depth.
 
     ``parent_edge[v]`` is None exactly at the root; ``num[v]`` is the
@@ -42,8 +41,7 @@ class SpanningTreeWitness:
             raise ValueError("depth numbers must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CutWitness:
+class CutWitness(Record):
     """Certifies disconnectedness: a vertex set no edge crosses."""
 
     cut_set: frozenset[int]
@@ -55,8 +53,7 @@ class CutWitness:
 ConnectivityWitness = Union[SpanningTreeWitness, CutWitness]
 
 
-@dataclass(frozen=True)
-class ConnectivityTriple:
+class ConnectivityTriple(Record):
     """Input graph, claimed answer, and the witness backing the claim.
 
     The witness variant must match the claim: a tree certifies True, a cut

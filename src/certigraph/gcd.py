@@ -12,14 +12,12 @@ nonnegative, and the Bezout coefficients s and t may carry a ``-``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .numerals import _decimal, _digits_value, _nat, _rows
+from .record import Record
 from .verdict import ACCEPT, ParseError, PreconditionError, Verdict, reject, shown
 
 
-@dataclass(frozen=True)
-class GcdTriple:
+class GcdTriple(Record):
     """Inputs a, b; claimed gcd g; Bezout coefficients s, t.
 
     No field is validated at construction: the checker decides everything.

@@ -12,13 +12,11 @@ checked where they matter, never silently assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Record
 from .verdict import PreconditionError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """An edge-list graph; ``edges`` may be any iterable of pairs, kept as (src, trg) tuples."""
 
     num_verts: int

@@ -22,15 +22,14 @@ checker; the regression test pins it).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Graph, wellformed
+from .record import Record
 from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject
 
 
-@dataclass(frozen=True)
-class MatchingWitness:
+class MatchingWitness(Record):
     """The claimed matching M, the M-edge-to-G-edge map, and the cover labels."""
 
     matching: Graph
@@ -44,8 +43,7 @@ class MatchingWitness:
             raise ValueError("cover labels must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MatchingTriple:
+class MatchingTriple(Record):
     graph: Graph
     witness: MatchingWitness
 

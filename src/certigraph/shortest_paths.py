@@ -23,20 +23,19 @@ naturals plus infinity), so no comparison ever overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, require_wellformed
+from .record import Record
 from .verdict import ACCEPT, PreconditionError, Verdict, first_rejection, reject, shown
 
 
-@dataclass(frozen=True, slots=True)
-class ExtNat:
+class ExtNat(Record):
     """A nonnegative integer or infinity (encoded as ``value = None``).
 
     Values compare only by equality. The checkers compare ``value``s, and
     the algebra of the extended naturals is stated in :mod:`certigraph.oracles`.
     """
 
+    __slots__ = ("value",)
     value: int | None
 
     def __post_init__(self) -> None:
@@ -60,8 +59,7 @@ def extnat_column(values: list[int | None]) -> list[ExtNat]:
     return list(map(made.__getitem__, values))
 
 
-@dataclass(frozen=True)
-class SpWitness:
+class SpWitness(Record):
     """Claimed shortest-path data for every vertex, plus the edge costs.
 
     ``dist`` and ``num`` have one ExtNat per vertex, ``parent_edge`` one
@@ -83,8 +81,7 @@ class SpWitness:
             raise ValueError("edge costs must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SpTriple:
+class SpTriple(Record):
     graph: Graph
     witness: SpWitness
 

@@ -14,9 +14,9 @@ other problem's code.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generic, Sequence, TypeVar
 
+from .record import Record
 from .verdict import PreconditionError, shown
 
 if TYPE_CHECKING:
@@ -29,8 +29,7 @@ Y = TypeVar("Y")
 W = TypeVar("W")
 
 
-@dataclass(frozen=True)
-class SolverResult(Generic[Y, W]):
+class SolverResult(Record, Generic[Y, W]):
     """An answer plus the witness that certifies it."""
 
     output: Y

@@ -9,12 +9,12 @@ a file that does not conform to its format raises :class:`ParseError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .record import Record
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(Record):
     """Outcome of a witness check.
 
     ``clause`` names the first violated conjunct on rejection (a short,

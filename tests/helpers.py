@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import replace
 from typing import Iterator
 
 from certigraph.connectivity import ConnectivityTriple, CutWitness, check_connectivity
@@ -43,6 +42,13 @@ def verdicts_agree(problem: str, triple) -> tuple[bool, object, object]:
     except PreconditionError:
         eval_says = "precondition"
     return checker_says == eval_says, checker_says, eval_says
+
+
+def replace(record, **changes):
+    """``record`` with ``changes`` to its fields, built again through its
+    constructor, so that ``__post_init__`` checks the new values."""
+    fields = {name: getattr(record, name) for name in record.__match_args__}
+    return type(record)(**{**fields, **changes})
 
 
 def line_events(fn, *args) -> tuple[int, object]:

@@ -5,7 +5,6 @@ from the modules' clause tuples, so a reordered tuple fails these tests.
 """
 
 import random
-from dataclasses import replace
 
 from certigraph.connectivity import (
     ConnectivityTriple,
@@ -44,6 +43,7 @@ from helpers import (
     random_digraph,
     random_loopless_graph,
     random_multigraph,
+    replace,
     solver_triple,
     sp_mutations,
 )

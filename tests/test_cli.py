@@ -322,7 +322,7 @@ def fresh_run(*argv: str) -> tuple[set[str], int]:
 
 def test_importing_the_cli_loads_no_problem_module():
     # Nor any reader: the benchmark's setup_s times this import.
-    assert fresh_run()[0] == {"cli", "verdict"}
+    assert fresh_run()[0] == {"cli", "record", "verdict"}
 
 
 CHECK_RUNS = [
@@ -348,7 +348,7 @@ def test_gcd_commands_load_no_graph_code(argv):
 
 
 # Lines of certigraph code each check command loads on tests/data, as last measured.
-TRUSTED_BASE = {"check-connected": 796, "check-sp": 827, "check-matching": 826, "check-gcd": 387}
+TRUSTED_BASE = {"check-connected": 852, "check-sp": 883, "check-matching": 883, "check-gcd": 446}
 
 
 @pytest.mark.parametrize("command, problem, files", CHECK_RUNS)
@@ -387,20 +387,48 @@ def test_json_is_loaded_only_by_the_bulk_reader(command, files, after):
     assert proc.stdout.split() == ["False", after], proc.stderr
 
 
-@pytest.mark.parametrize(
-    "command, problem, args",
-    [
-        ("solve-connected", "connectivity", [str(DATA / "connected_5v.graph")]),
-        ("solve-sp", "shortest_paths", [str(DATA / "sp_zero_cycle.graph"), "0"]),
-        ("solve-matching", "matching", [str(DATA / "matching_12v.graph")]),
-        ("solve-gcd", "gcd", ["240", "46"]),
-    ],
-)
+SOLVE_RUNS = [
+    ("solve-connected", "connectivity", [str(DATA / "connected_5v.graph")]),
+    ("solve-sp", "shortest_paths", [str(DATA / "sp_zero_cycle.graph"), "0"]),
+    ("solve-matching", "matching", [str(DATA / "matching_12v.graph")]),
+    ("solve-gcd", "gcd", ["240", "46"]),
+]
+
+
+@pytest.mark.parametrize("command, problem, args", SOLVE_RUNS)
 def test_solve_loads_only_its_own_solver(tmp_path, command, problem, args):
     loaded, _ = fresh_run(command, *args, "-o", str(tmp_path / "witness"))
     assert "solvers" in loaded and "oracles" not in loaded
     assert ("blossom" in loaded) == (command == "solve-matching")
     assert loaded & PROBLEM_MODULES == {problem}
+
+
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+INTROSPECTION_LOADED = f"""
+import contextlib, io, sys
+from certigraph.cli import cli_main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli_main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *[name for name in {INTROSPECTION!r} if name in sys.modules])
+"""
+EVERY_COMMAND = [
+    (),
+    *((command, *(str(DATA / f) for f in files)) for command, _, files in CHECK_RUNS),
+    *((command, *args) for command, _, args in SOLVE_RUNS),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0] if argv else "import")
+def test_no_command_loads_the_introspection_modules(argv):
+    """``dataclasses`` imports ``inspect``, which brings ``ast``, ``dis`` and
+    ``tokenize``: about 9,000 stdlib lines compiled or unmarshalled in each
+    child. The records need none of them. ``-S`` keeps a host's ``.pth``
+    files from preloading any module."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", INTROSPECTION_LOADED, *argv],
+        cwd=SRC, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.split() == ["0"], proc.stderr
 
 
 # The REJECT column of the README's clause table, one row per check command.

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -20,6 +19,7 @@ from helpers import (
     connectivity_mutations,
     mutation_sample,
     random_multigraph,
+    replace,
     solver_triple,
     verdicts_agree,
 )

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +21,7 @@ from helpers import (
     matching_mutations,
     mutation_sample,
     random_loopless_graph,
+    replace,
     solver_triple,
     verdicts_agree,
 )

@@ -139,8 +139,9 @@ def test_oracles_import_only_data_classes_from_the_package():
     assert from_package and from_package <= DATA_ONLY, from_package - DATA_ONLY
     plain = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
     assert not any(name.startswith("certigraph") for name in plain)
-    # The data classes carry no behaviour of their own: the dataclass decorator
-    # writes their methods, so arithmetic such as an ExtNat order lives here.
+    # The data classes carry no behaviour of their own: their base class,
+    # certigraph.record.Record, gives them construction, equality, hashing and
+    # repr, so arithmetic such as an ExtNat order lives here.
     for name in from_package - {"PreconditionError"}:
         obj = getattr(oracles, name)
         cls = obj if isinstance(obj, type) else type(obj)

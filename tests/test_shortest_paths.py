@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,14 @@ from certigraph.shortest_paths import (
 )
 from certigraph.verdict import PreconditionError
 
-from helpers import mutation_sample, random_digraph, solver_triple, sp_mutations, verdicts_agree
+from helpers import (
+    mutation_sample,
+    random_digraph,
+    replace,
+    solver_triple,
+    sp_mutations,
+    verdicts_agree,
+)
 
 
 def replace_at(values, index, value):
