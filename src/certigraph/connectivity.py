@@ -15,8 +15,6 @@ forest rooted at ``root``, and one scan verifies it.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .graph import Graph, require_wellformed
 from .record import Record
 from .verdict import ACCEPT, Verdict, first_rejection, reject, shown
@@ -50,7 +48,7 @@ class CutWitness(Record):
         object.__setattr__(self, "cut_set", frozenset(self.cut_set))
 
 
-ConnectivityWitness = Union[SpanningTreeWitness, CutWitness]
+ConnectivityWitness = SpanningTreeWitness | CutWitness
 
 
 class ConnectivityTriple(Record):

@@ -24,7 +24,7 @@ is never changed.
 
 The graph, tree, cut, sp and matching formats are one ``_Layout`` each.
 ``_write`` writes any of them (single spaces, ``\n`` line ends, no blank
-line). ``_in_bulk`` reads that form with a regular expression scan, one
+line). ``_in_bulk`` reads that form with a shape check in C, then one
 ``json`` decode and C-level slices. It gives None for any other file and
 for numbers ``json`` refuses: leading zeros, or past the digit limit.
 ``_by_line`` reads every file row by row; it defines what is accepted and
@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import collections
 import functools
-import re
-from typing import TYPE_CHECKING
+import gc
 
 from .graph import Graph
 from .numerals import _decimal, _digits_value, _nat, _rows
 from .verdict import ParseError, PreconditionError
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     from typing import Callable, Sequence
 
@@ -89,13 +89,6 @@ _MATCHING = _Layout(
 _Read = tuple[list[int], list[list], list[int]]  # header values, columns, labels
 
 
-@functools.cache
-def _misfit(layout: _Layout) -> re.Pattern[str]:
-    """A search for the start of a line that is not one row of ``layout``."""
-    cells = ("[0-9]+" if word is None else f"(?:{word}|[0-9]+)" for word in layout.columns)
-    return re.compile(rf"^(?!{' '.join(cells)}$)", re.MULTILINE)
-
-
 def _column(tokens: list[str], word: str | None) -> list:
     """The values of a column of well-formed tokens (see ``_Layout``), mostly in C."""
     try:
@@ -110,37 +103,47 @@ def _in_bulk(text: str, layout: _Layout, n: int | None = None) -> _Read | None:
     """A file in the serializers' layout, read in a few passes in C.
 
     None unless the tag line, each row and the labels line fit ``layout``
-    with single spaces and ``\n`` line ends. Each line is matched on its
-    own, so the regular expression engine's memory stays small.
+    with single spaces and ``\n`` line ends. Their shape is checked before
+    ``json``, which never meets a bracket to recurse into: without digits
+    and word letters, the rows must leave the layout's separators once per
+    declared row (counted first: a huge count allocates nothing), and each
+    word must end at its column's separator. ``json`` refuses other tokens.
     """
-    if not text.endswith("\n"):
+    if not (text.endswith("\n") and text.isascii()):
         return None
     start = text.find("\n") + 1
-    end = len(text) - 1  # where the rows end
+    end = len(text)  # where the rows end
     head = text[: start - 1].split(" ")
     labels: list[str] = []
     if layout.labels and n:
-        end = text.rfind("\n", 0, end)  # the labels line, or the tag line (no digits)
-        labels = text[end + 1 : -1].split(" ")
+        end = text.rfind("\n", 0, end - 1) + 1  # the labels line, or the tag line (no digits)
+        labels = text[end:-1].split(" ")
     numbers = head[1:] + labels
-    digits = "".join(numbers)
     if head[0] != layout.tag or len(head) != layout.values + 1 or len(labels) not in (0, n):
         return None
-    if not (all(numbers) and digits.isascii() and digits.isdigit()):
+    if not (all(numbers) and "".join(numbers).isdigit()):
         return None
-    if start <= end and _misfit(layout).search(text, start, end):
+    rows, width = text[start:end], len(layout.columns)
+    ends = {w: " " if i < width - 1 else "\n" for i, w in enumerate(layout.columns) if w}
+    skeleton = rows.encode().translate(None, b"0123456789" + "".join(ends).encode())
+    count = skeleton.count(b"\n")
+    if (count != n) if layout.per_vertex else (str(count) != head[-1]):
+        return None
+    if skeleton != (b" " * (width - 1) + b"\n") * count:
+        return None
+    if any(rows.count(w) != rows.count(w + sep) for w, sep in ends.items()):
         return None
     import json  # here, not at the top: importing the CLI does not load it
 
-    doc = "[%s]" % text[len(layout.tag) + 1 : -1].replace(" ", ",").replace("\n", ",")
+    doc = "[%s]" % text[len(layout.tag) + 1 : -1].translate(str.maketrans(" \n", ",,"))
+    for word in ends:
+        doc = doc.replace(word, "null")
     try:
-        values = json.loads(doc.replace("-", "null").replace("INF", "null"))
+        values = json.loads(doc)
     except ValueError:  # a leading zero or a number past the digit limit: _by_line reads it
         return None
-    width, first = len(layout.columns), layout.values  # the rows' values start at first
-    last = first + width * (n if layout.per_vertex else values[first - 1])
-    if len(values) != last + len(labels):
-        return None
+    first = layout.values  # the rows' values start here
+    last = first + width * count
     columns = [values[first + i : last : width] for i in range(width)]
     return values[:first], columns, values[last:]
 
@@ -208,12 +211,19 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     """Parse a graph file; returns the graph and its costs (None if edges lack them)."""
     first = text.find("\n") + 1
     layout = _EDGES.get(text.count(" ", first, text.find("\n", first)) + 1)
-    read = layout and _in_bulk(text, layout)
-    # _in_bulk does not check endpoints; a file it reads has edges, so max() has values.
-    if not read or max(max(read[1][0]), max(read[1][1])) >= read[0][0]:
-        read = _by_line(text, _EDGES[3], check=functools.partial(_edge_line, set()))
-    (n, _), (src, trg, *cost), _ = read
-    return Graph(n, zip(src, trg)), tuple(cost[0]) if cost else None
+    # The decode and the build make only tuples of ints, so cyclic GC has nothing to find.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        read = layout and _in_bulk(text, layout)
+        # _in_bulk does not check endpoints; a file it reads has edges, so max() has values.
+        if not read or max(max(read[1][0]), max(read[1][1])) >= read[0][0]:
+            read = _by_line(text, _EDGES[3], check=functools.partial(_edge_line, set()))
+        (n, _), (src, trg, *cost), _ = read
+        return Graph(n, zip(src, trg)), tuple(cost[0]) if cost else None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _cut_line(seen: set[int], head: list[int], lineno: int, toks: list[str]) -> None:

@@ -22,7 +22,7 @@ checker; the regression test pins it).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from collections.abc import Sequence
 
 from .graph import Graph, wellformed
 from .record import Record

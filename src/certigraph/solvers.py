@@ -60,10 +60,10 @@ def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     if n == 0:
         raise PreconditionError("empty_graph", "need at least one vertex")
     _require_vertex_limit(g)
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    incident: list[list[int]] = [[] for _ in range(n)]  # (edge id, other end) pairs, flat
     for i, (src, trg) in enumerate(g.edges):
-        incident[src].append((i, trg))
-        incident[trg].append((i, src))
+        incident[src] += (i, trg)
+        incident[trg] += (i, src)
     parent_edge: list[int | None] = [None] * n
     num = [0] * n
     seen = [False] * n
@@ -72,7 +72,8 @@ def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     reached = 1
     while queue:
         v = queue.popleft()
-        for i, u in incident[v]:
+        it = iter(incident[v])
+        for i, u in zip(it, it):
             if not seen[u]:
                 seen[u] = True
                 parent_edge[u] = i

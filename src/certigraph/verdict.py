@@ -9,7 +9,7 @@ a file that does not conform to its format raises :class:`ParseError`.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .record import Record
 

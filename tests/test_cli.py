@@ -348,7 +348,7 @@ def test_gcd_commands_load_no_graph_code(argv):
 
 
 # Lines of certigraph code each check command loads on tests/data, as last measured.
-TRUSTED_BASE = {"check-connected": 852, "check-sp": 883, "check-matching": 883, "check-gcd": 446}
+TRUSTED_BASE = {"check-connected": 860, "check-sp": 893, "check-matching": 893, "check-gcd": 446}
 
 
 @pytest.mark.parametrize("command, problem, files", CHECK_RUNS)
@@ -385,6 +385,30 @@ def test_json_is_loaded_only_by_the_bulk_reader(command, files, after):
         cwd=SRC, capture_output=True, text=True, timeout=60,
     )
     assert proc.stdout.split() == ["False", after], proc.stderr
+
+
+TYPING_LOADED = """
+import contextlib, io, sys
+from certigraph.cli import cli_main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli_main(sys.argv[1:])
+print(code, "typing" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [("check-sp", ["sp_zero_cycle.graph", "sp_zero_cycle.sp"]), ("check-gcd", ["gcd_example.gcd"])],
+)
+def test_check_loads_no_typing(command, files):
+    """Annotations name ``typing`` only for type checkers: importing it would
+    cost a check process a few ms. Run without ``site`` (``-S``), whose own
+    start-up may import it."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", TYPING_LOADED, command, *(str(DATA / f) for f in files)],
+        cwd=SRC, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 SOLVE_RUNS = [

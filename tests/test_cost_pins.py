@@ -16,6 +16,7 @@ import random
 import pytest
 
 from certigraph.connectivity import ConnectivityTriple, check_connectivity
+from certigraph.formats import parse_graph, serialize_graph
 from certigraph.gcd import GcdTriple, check_gcd
 from certigraph.graph import Graph
 from certigraph.matching import MatchingTriple, check_max_matching
@@ -37,6 +38,9 @@ NEAR_LINEAR = 4.4  # the same for BFS and Dijkstra, a log factor allowed
 # measured 3.99x, pinned 5% above. A contraction that relabels by scanning
 # all n vertices gives 12.9x.
 MATCHING_GROWTH = 4.2
+# The bulk graph reader and the Graph build run in C: their Python lines
+# do not grow with m at all, and are pinned not to grow by more than 5%.
+FLAT = 1.05
 
 
 def sparse_graph(n: int, offset: int = 0) -> Graph:
@@ -130,3 +134,15 @@ def test_gcd_checker_work_is_constant_in_the_digits():
         return accepted_after(check_gcd, GcdTriple(a, b, res.output, *res.witness))
 
     assert 0 < count(10**3) == count(4 * 10**3)
+
+
+def test_bulk_graph_reader_runs_no_per_row_python():
+    def count(n: int) -> int:
+        g = sparse_graph(n)
+        cost = tuple(i % 7 for i in range(g.num_edges))
+        events, parsed = line_events(parse_graph, serialize_graph(g, cost))
+        assert parsed == (g, cost)
+        return events
+
+    small, large = count(SIZE), count(4 * SIZE)
+    assert 0 < large <= FLAT * small and small <= FLAT * large, (small, large)

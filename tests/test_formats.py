@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -494,3 +495,138 @@ def test_numbers_past_the_interpreter_digit_limit_round_trip():
     assert parse_connectivity_witness(serialize_connectivity_witness(cut), g) == cut
     mw = MatchingWitness(Graph(2, [(0, 1)]), (0,), (long, 1))
     assert parse_matching_witness(serialize_matching_witness(mw), g) == mw
+
+
+# The bulk reader checks a file's shape before json reads it: what is left
+# of the rows without digits and the layout's word letters, and that each
+# word ends at its own column's separator. These files aim at that check;
+# each must read the same in bulk as by line.
+def _edit(name: str, old: str, new: str) -> str:
+    """The golden file ``name`` with its first ``old`` made ``new``."""
+    text = (DATA / name).read_text()
+    assert old in text, (name, old)
+    return text.replace(old, new, 1)
+
+
+def _shape_cases(demo_graph, zero_cycle_graph, zero_cycle_cost, twelve_graph):
+    sp, tree = "sp_zero_cycle.sp", "connected_5v.tree"
+    graph, matching = "sp_zero_cycle.graph", "matching_12v.matching"
+    sp_ctx = (zero_cycle_graph, zero_cycle_cost)
+    return {
+        "INF in sp's edge-id column": (
+            parse_sp_witness, _edit(sp, "1 1 0\n", "1 1 INF\n"), *sp_ctx
+        ),
+        "- in sp's dist column": (parse_sp_witness, _edit(sp, "1 1 1\n", "- 1 1\n"), *sp_ctx),
+        "- in sp's num column": (parse_sp_witness, _edit(sp, "1 2 3\n", "1 - 3\n"), *sp_ctx),
+        "sp's words swapped": (parse_sp_witness, _edit(sp, "INF INF -", "INF - INF"), *sp_ctx),
+        "- in tree's num column": (
+            parse_connectivity_witness, _edit(tree, "0 1\n", "0 -\n"), demo_graph
+        ),
+        "tree's root row swapped": (
+            parse_connectivity_witness, _edit(tree, "- 0\n", "0 -\n"), demo_graph
+        ),
+        "4 + 2 tokens, graph": (parse_graph, _edit(graph, "0 1 1\n0 2 1\n", "0 1 1 0\n2 1\n")),
+        "4 + 2 tokens, sp": (
+            parse_sp_witness, _edit(sp, "0 0 -\n1 1 0\n", "0 0 - 1\n1 0\n"), *sp_ctx
+        ),
+        "3 + 1 tokens, tree": (
+            parse_connectivity_witness, _edit(tree, "- 0\n0 1\n", "- 0 0\n1\n"), demo_graph
+        ),
+        "4 + 2 tokens, matching": (
+            parse_matching_witness,
+            _edit(matching, "0 1 0\n2 3 3\n", "0 1 0 2\n3 3\n"),
+            twelve_graph,
+        ),
+        "non-ASCII digit, graph": (parse_graph, _edit(graph, "0 2 1\n", "0 2 ٣\n")),
+        "non-ASCII digit, sp": (parse_sp_witness, _edit(sp, "1 2 3\n", "1 2 ٣\n"), *sp_ctx),
+        "non-ASCII digit, labels": (
+            parse_matching_witness, _edit(matching, " 2 0\n", " ٣ 0\n"), twelve_graph
+        ),
+    }
+
+
+def _read_the_same_by_line(monkeypatch, cases: dict) -> dict:
+    """Each case's outcome, which must not change when ``_in_bulk`` refuses
+    every file; it does from here on."""
+    got = {name: _outcome(*case) for name, case in cases.items()}
+    monkeypatch.setattr(formats, "_in_bulk", lambda *args: None)
+    for name, case in cases.items():
+        assert got[name] == _outcome(*case), name
+    return got
+
+
+def test_misshapen_rows_read_as_by_line(
+    monkeypatch, demo_graph, zero_cycle_graph, zero_cycle_cost, twelve_graph
+):
+    cases = _shape_cases(demo_graph, zero_cycle_graph, zero_cycle_cost, twelve_graph)
+    got = _read_the_same_by_line(monkeypatch, cases)
+    assert all(issubclass(outcome[0], ParseError) for outcome in got.values()), got
+
+
+def test_a_bracket_row_is_refused_before_json(
+    monkeypatch, demo_graph, zero_cycle_graph, zero_cycle_cost
+):
+    # json recurses into nested brackets; the shape check must keep them out.
+    brackets = "[" * 10**5
+    sp = _edit("sp_zero_cycle.sp", "1 1 0\n", f"{brackets} 1 0\n")
+    cases = {
+        "cut": (parse_connectivity_witness, f"cut 1\n{brackets}\n", demo_graph),
+        "graph": (parse_graph, f"graph 5 1\n0 {brackets}\n"),
+        "sp": (parse_sp_witness, sp, zero_cycle_graph, zero_cycle_cost),
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called on a misshapen file")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    layouts = {"cut": (formats._CUT,), "graph": (formats._EDGES[2],), "sp": (formats._SP, 5)}
+    for name, (_, text, *_) in cases.items():
+        assert formats._in_bulk(text, *layouts[name]) is None, name
+    got = _read_the_same_by_line(monkeypatch, cases)
+    assert all(outcome[0] is ParseError for outcome in got.values()), got
+
+
+def test_a_huge_declared_row_count_allocates_nothing(monkeypatch, demo_graph, twelve_graph):
+    import tracemalloc
+
+    rows = 10**12
+    matching = _edit("matching_12v.matching", "matching 5\n", f"matching {rows}\n")
+    cases = {
+        "graph": (parse_graph, f"graph 3 {rows}\n0 1\n1 2\n2 0\n"),
+        "cut": (parse_connectivity_witness, f"cut {rows}\n0\n1\n2\n", demo_graph),
+        "matching": (parse_matching_witness, matching, twelve_graph),
+    }
+    for name, case in cases.items():
+        tracemalloc.start()
+        try:
+            outcome = _outcome(*case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome[0] is LengthMismatchError, (name, outcome)
+        assert peak < 2**20, (name, peak)
+    _read_the_same_by_line(monkeypatch, cases)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc on", "gc off"])
+def test_parse_graph_leaves_cyclic_gc_as_it_found_it(enabled):
+    # parse_graph pauses cyclic GC while it builds the graph, and restores
+    # the caller's state on every way out.
+    texts = {
+        "graph 2 1\n0 1\n": None,  # read in bulk
+        "graph 2 1\n0  1\n": None,  # read by line
+        "graph 2 1\n0 x\n": ParseError,
+        "graph 2 1\n0 2\n": WellformednessError,
+    }
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for text, error in texts.items():
+            if error is None:
+                assert parse_graph(text) == (Graph(2, [(0, 1)]), None)
+            else:
+                with pytest.raises(error):
+                    parse_graph(text)
+            assert gc.isenabled() == enabled, text
+    finally:
+        (gc.enable if was else gc.disable)()
