@@ -17,7 +17,7 @@ module's size bounds ``MAX_PAIRS`` and ``MAX_EDGES``.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .connectivity import ConnectivityTriple, CutWitness, SpanningTreeWitness
 from .gcd import GcdTriple

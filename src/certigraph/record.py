@@ -1,33 +1,23 @@
 """Immutable value records, the base of the package's data classes.
 
-A subclass's own annotations, in order, are its fields; a class attribute
-of a field's name is its default. A record equals only a record of the
-same class with equal fields, hashes as its fields, and cannot change.
+A subclass's own annotations, in order, are its fields, given by position
+only. A record equals only a record of the same class with equal fields,
+hashes as its fields, and cannot change.
 """
 
 
 class Record:
-    __slots__ = ()
     __match_args__ = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        own = vars(cls)
-        cls.__match_args__ = fields = tuple(own.get("__annotations__", {}))
-        slots = own.get("__slots__", ())
-        cls._defaults = {f: own[f] for f in fields if f in own and f not in slots}
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls.__match_args__ = tuple(vars(cls).get("__annotations__", {}))
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args) -> None:
         fields = self.__match_args__
-        if kwargs or len(args) != len(fields):
-            given = {**self._defaults, **dict(zip(fields, args)), **kwargs}
-            unknown = {*kwargs} - {*fields[len(args) :]}  # not a field, or given by position too
-            if len(args) > len(fields) or unknown or {*fields} - {*given}:
-                raise TypeError(
-                    f"{type(self).__qualname__}({', '.join(fields)}) cannot take "
-                    f"{len(args)} positional arguments and the keywords {sorted(kwargs)}"
-                )
-            args = [given[f] for f in fields]
+        if len(args) != len(fields):
+            sig = f"{type(self).__qualname__}({', '.join(fields)})"
+            raise TypeError(f"{sig} takes {len(fields)} positional arguments, not {len(args)}")
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self.__post_init__()
@@ -49,9 +39,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, self._values()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

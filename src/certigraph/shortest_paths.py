@@ -35,7 +35,6 @@ class ExtNat(Record):
     the algebra of the extended naturals is stated in :mod:`certigraph.oracles`.
     """
 
-    __slots__ = ("value",)
     value: int | None
 
     def __post_init__(self) -> None:

@@ -14,26 +14,22 @@ other problem's code.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Generic, Sequence, TypeVar
+from collections.abc import Sequence
 
 from .record import Record
 from .verdict import PreconditionError, shown
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
     from .connectivity import ConnectivityWitness
     from .graph import Graph
-    from .matching import MatchingWitness
-    from .shortest_paths import ExtNat, SpWitness
-
-Y = TypeVar("Y")
-W = TypeVar("W")
 
 
-class SolverResult(Record, Generic[Y, W]):
+class SolverResult(Record):
     """An answer plus the witness that certifies it."""
 
-    output: Y
-    witness: W
+    output: object
+    witness: object
 
 
 def _require_vertex_limit(g: Graph) -> None:
@@ -45,7 +41,7 @@ def _require_vertex_limit(g: Graph) -> None:
         raise PreconditionError("vertex_limit", f"{shown(g.num_verts)} vertices exceed 2^31 - 1")
 
 
-def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
+def solve_connectivity(g: Graph) -> SolverResult:
     """Breadth-first search from vertex 0; edges are traversable both ways.
 
     Connected graphs yield a spanning tree rooted at 0 whose depth numbers
@@ -87,9 +83,7 @@ def solve_connectivity(g: Graph) -> SolverResult[bool, ConnectivityWitness]:
     return SolverResult(False, cut)
 
 
-def solve_shortest_paths(
-    g: Graph, cost: Sequence[int], source: int
-) -> SolverResult[tuple[ExtNat, ...], SpWitness]:
+def solve_shortest_paths(g: Graph, cost: Sequence[int], source: int) -> SolverResult:
     """Dijkstra's algorithm with a binary heap; exact integer arithmetic.
 
     Zero-cost edges are fine: parents are only reassigned on strict
@@ -129,17 +123,11 @@ def solve_shortest_paths(
                 dist[u] = nd
                 parent_edge[u] = i
                 heapq.heappush(heap, (nd, u))
-    witness = SpWitness(
-        source=source,
-        dist=extnat_column(dist),
-        num=extnat_column(depth),
-        parent_edge=tuple(parent_edge),
-        cost=tuple(cost),
-    )
+    witness = SpWitness(source, extnat_column(dist), extnat_column(depth), parent_edge, cost)
     return SolverResult(witness.dist, witness)
 
 
-def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:
+def solve_max_matching(g: Graph) -> SolverResult:
     """Blossom search by phases plus an odd-set cover read off the last phase.
 
     Each phase grows alternating trees from every free vertex at once and
@@ -162,7 +150,7 @@ def solve_max_matching(g: Graph) -> SolverResult[Graph, MatchingWitness]:
     return SolverResult(m, witness)
 
 
-def solve_gcd(a: int, b: int) -> SolverResult[int, tuple[int, int]]:
+def solve_gcd(a: int, b: int) -> SolverResult:
     """Extended Euclid: gcd plus Bezout coefficients, all exact."""
     from .gcd import require_gcd_inputs
 

@@ -23,14 +23,14 @@ class Verdict(Record):
     """
 
     accepted: bool
-    clause: str = ""
-    detail: str = ""
+    clause: str
+    detail: str
 
     def __bool__(self) -> bool:
         return self.accepted
 
 
-ACCEPT = Verdict(True)
+ACCEPT = Verdict(True, "", "")
 
 
 def reject(clause: str, detail: str = "") -> Verdict:

@@ -78,11 +78,11 @@ def zero_cycle_cost() -> tuple[int, ...]:
 @pytest.fixture
 def zero_cycle_witness(zero_cycle_cost) -> SpWitness:
     return SpWitness(
-        source=0,
-        dist=fin(0, 1, 1, 1) + [INFINITY],
-        num=fin(0, 1, 1, 2) + [INFINITY],
-        parent_edge=(None, 0, 1, 3, None),
-        cost=zero_cycle_cost,
+        0,  # source
+        fin(0, 1, 1, 1) + [INFINITY],  # dist
+        fin(0, 1, 1, 2) + [INFINITY],  # num
+        (None, 0, 1, 3, None),  # parent_edge
+        zero_cycle_cost,  # cost
     )
 
 

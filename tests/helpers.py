@@ -47,8 +47,7 @@ def verdicts_agree(problem: str, triple) -> tuple[bool, object, object]:
 def replace(record, **changes):
     """``record`` with ``changes`` to its fields, built again through its
     constructor, so that ``__post_init__`` checks the new values."""
-    fields = {name: getattr(record, name) for name in record.__match_args__}
-    return type(record)(**{**fields, **changes})
+    return type(record)(*[changes.get(f, getattr(record, f)) for f in record.__match_args__])
 
 
 def line_events(fn, *args) -> tuple[int, object]:

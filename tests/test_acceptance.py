@@ -313,11 +313,11 @@ def test_criterion_6_depth_conjunct_necessity(zero_cycle_graph, zero_cycle_cost)
     """
     g, cost = zero_cycle_graph, zero_cycle_cost
     forged = SpWitness(
-        source=0,
-        dist=(ExtNat(0), ExtNat(0), ExtNat(1), ExtNat(0), INFINITY),
-        num=(ExtNat(0), ExtNat(1), ExtNat(1), ExtNat(2), INFINITY),
-        parent_edge=(None, 4, 1, 3, None),
-        cost=cost,
+        0,  # source
+        (ExtNat(0), ExtNat(0), ExtNat(1), ExtNat(0), INFINITY),  # dist
+        (ExtNat(0), ExtNat(1), ExtNat(1), ExtNat(2), INFINITY),  # num
+        (None, 4, 1, 3, None),  # parent_edge
+        cost,  # cost
     )
 
     def weak_just(g: Graph, w: SpWitness) -> bool:
@@ -445,11 +445,11 @@ def _decode_witness(
     s: int, dist: list[int], num: list[int], parent_edge: list[int], cost
 ) -> SpWitness:
     return SpWitness(
-        source=s,
-        dist=tuple(INFINITY if _inf(x) else ExtNat(x) for x in dist),
-        num=tuple(INFINITY if _inf(x) else ExtNat(x) for x in num),
-        parent_edge=tuple(None if p < 0 else p for p in parent_edge),
-        cost=cost,
+        s,  # source
+        tuple(INFINITY if _inf(x) else ExtNat(x) for x in dist),  # dist
+        tuple(INFINITY if _inf(x) else ExtNat(x) for x in num),  # num
+        tuple(None if p < 0 else p for p in parent_edge),  # parent_edge
+        cost,  # cost
     )
 
 

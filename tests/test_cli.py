@@ -348,7 +348,7 @@ def test_gcd_commands_load_no_graph_code(argv):
 
 
 # Lines of certigraph code each check command loads on tests/data, as last measured.
-TRUSTED_BASE = {"check-connected": 860, "check-sp": 893, "check-matching": 893, "check-gcd": 446}
+TRUSTED_BASE = {"check-connected": 847, "check-sp": 879, "check-matching": 880, "check-gcd": 433}
 
 
 @pytest.mark.parametrize("command, problem, files", CHECK_RUNS)
@@ -387,30 +387,6 @@ def test_json_is_loaded_only_by_the_bulk_reader(command, files, after):
     assert proc.stdout.split() == ["False", after], proc.stderr
 
 
-TYPING_LOADED = """
-import contextlib, io, sys
-from certigraph.cli import cli_main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli_main(sys.argv[1:])
-print(code, "typing" in sys.modules)
-"""
-
-
-@pytest.mark.parametrize(
-    "command, files",
-    [("check-sp", ["sp_zero_cycle.graph", "sp_zero_cycle.sp"]), ("check-gcd", ["gcd_example.gcd"])],
-)
-def test_check_loads_no_typing(command, files):
-    """Annotations name ``typing`` only for type checkers: importing it would
-    cost a check process a few ms. Run without ``site`` (``-S``), whose own
-    start-up may import it."""
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", TYPING_LOADED, command, *(str(DATA / f) for f in files)],
-        cwd=SRC, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
-
-
 SOLVE_RUNS = [
     ("solve-connected", "connectivity", [str(DATA / "connected_5v.graph")]),
     ("solve-sp", "shortest_paths", [str(DATA / "sp_zero_cycle.graph"), "0"]),
@@ -427,7 +403,7 @@ def test_solve_loads_only_its_own_solver(tmp_path, command, problem, args):
     assert loaded & PROBLEM_MODULES == {problem}
 
 
-INTROSPECTION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+INTROSPECTION = ("typing", "dataclasses", "inspect", "ast", "dis", "tokenize")
 INTROSPECTION_LOADED = f"""
 import contextlib, io, sys
 from certigraph.cli import cli_main
@@ -446,7 +422,8 @@ EVERY_COMMAND = [
 def test_no_command_loads_the_introspection_modules(argv):
     """``dataclasses`` imports ``inspect``, which brings ``ast``, ``dis`` and
     ``tokenize``: about 9,000 stdlib lines compiled or unmarshalled in each
-    child. The records need none of them. ``-S`` keeps a host's ``.pth``
+    child. The records need none of them, and annotations name ``typing``
+    only for type checkers. ``-S`` keeps ``site`` and a host's ``.pth``
     files from preloading any module."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", INTROSPECTION_LOADED, *argv],
