@@ -403,6 +403,30 @@ def test_solve_loads_only_its_own_solver(tmp_path, command, problem, args):
     assert loaded & PROBLEM_MODULES == {problem}
 
 
+TYPING_LOADED = """
+import contextlib, io, sys
+from certigraph.cli import cli_main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli_main(sys.argv[1:])
+print(code, "typing" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [("check-sp", ["sp_zero_cycle.graph", "sp_zero_cycle.sp"]), ("check-gcd", ["gcd_example.gcd"])],
+)
+def test_check_loads_no_typing(command, files):
+    """Annotations name ``typing`` only for type checkers: importing it would
+    cost a check process a few ms. Run without ``site`` (``-S``), whose own
+    start-up may import it."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", TYPING_LOADED, command, *(str(DATA / f) for f in files)],
+        cwd=SRC, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 INTROSPECTION = ("typing", "dataclasses", "inspect", "ast", "dis", "tokenize")
 INTROSPECTION_LOADED = f"""
 import contextlib, io, sys
